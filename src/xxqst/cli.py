@@ -377,6 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the cap reaches the oracle through its environment variable; the
+    # previous value comes back when the run ends, so it holds for this run only
+    previous_cap = os.environ.get("XXQST_ORACLE_CAP")
     if args.oracle_cap is not None:
         os.environ["XXQST_ORACLE_CAP"] = str(args.oracle_cap)
     try:
@@ -390,6 +393,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if previous_cap is None:
+            os.environ.pop("XXQST_ORACLE_CAP", None)
+        else:
+            os.environ["XXQST_ORACLE_CAP"] = previous_cap
 
 
 if __name__ == "__main__":

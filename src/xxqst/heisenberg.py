@@ -155,7 +155,9 @@ def coefficient_trace(
     elif origin != "site1":
         raise ValueError(f"unknown origin {origin!r}")
     times = np.linspace(0.0, t_max, steps)
-    values = _propagator_for(generator).coefficients_many(times)
+    # every time is evaluated in this one call, so caching the propagator
+    # would only keep its N x N eigenvectors alive
+    values = Propagator(generator).coefficients_many(times)
     return CoefficientTrace(times, values, origin)
 
 

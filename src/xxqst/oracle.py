@@ -7,9 +7,10 @@ Site 1 occupies the most significant bit of a basis index, so |100...0>
 means an excitation on site 1.
 
 The admissible chain length is bounded by :func:`oracle_cap` (default 14,
-override with the ``XXQST_ORACLE_CAP`` environment variable).  State-vector
-evolution uses dense diagonalization below 10 sites and per-magnetization-
-sector diagonalization above, exploiting that the chain conserves total Z.
+override with the ``XXQST_ORACLE_CAP`` environment variable).  All time
+evolution goes through :func:`evolve_columns`, which exploits that the chain
+conserves total Z: it diagonalizes one magnetization sector at a time and
+never forms a 2**n x 2**n propagator.
 """
 from __future__ import annotations
 
@@ -26,8 +27,10 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "PauliString",
+    "PROB_FLOOR",
     "oracle_cap",
     "evolve",
+    "evolve_columns",
     "conjugate_operator",
     "string_basis",
     "extract_string_coefficients",
@@ -40,9 +43,9 @@ __all__ = [
 
 _ENV_CAP = "XXQST_ORACLE_CAP"
 _DEFAULT_CAP = 14
-_DENSE_LIMIT = 10      # below this, dense diagonalization is used
 _DM_SITE_LIMIT = 12    # density-matrix evolution memory bound
-_PROB_FLOOR = 1e-14
+# outcomes and norms below this count as zero, here and in the protocol
+PROB_FLOOR = 1e-14
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -134,7 +137,7 @@ class StateVector:
     def normalized(cls, n_sites: int, amplitudes) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(amps)
-        if norm < _PROB_FLOOR:
+        if norm < PROB_FLOOR:
             raise ValueError("cannot normalize a zero vector")
         return cls(n_sites, amps / norm)
 
@@ -168,7 +171,7 @@ class DensityMatrix:
         if herm_dev > 1e-12:
             raise ValueError(f"matrix not Hermitian: deviation {herm_dev:.3e}")
         if dim <= 2048:
-            lo = float(np.linalg.eigvalsh(mat)[0])
+            lo = float(np.linalg.eigvalsh(mat if np.any(mat.imag) else mat.real)[0])
             if lo < -1e-10:
                 raise ValueError(f"matrix not positive: min eigenvalue {lo:.3e}")
         mat.flags.writeable = False
@@ -268,13 +271,6 @@ class PauliString:
 # evolution
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _dense_eigh(n: int, couplings: tuple[float, ...]):
-    h = dense_hamiltonian(CouplingProfile(n, couplings))
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
 @lru_cache(maxsize=16)
 def _sector_eigh(n: int, couplings: tuple[float, ...]):
     """Per-magnetization-sector eigensystems: tuples (indices, w, v)."""
@@ -294,69 +290,61 @@ def _sector_eigh(n: int, couplings: tuple[float, ...]):
     return tuple(blocks)
 
 
-@lru_cache(maxsize=8)
-def _dm_evolution_matrix(n: int, couplings: tuple[float, ...], t: float) -> np.ndarray:
-    w, v = _dense_eigh(n, couplings)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    u.flags.writeable = False
-    return u
+def evolve_columns(columns, profile: CouplingProfile, time: float) -> np.ndarray:
+    """e^{-iHt} applied to every column of a 2**n x r array (or to one
+    2**n vector).  The chain conserves total Z, so each block of basis
+    states with a fixed number of excitations evolves under its own real
+    symmetric Hamiltonian and no 2**n x 2**n matrix is formed."""
+    n = profile.n_sites
+    _check_cap(n)
+    cols = np.asarray(columns, dtype=complex)
+    if cols.shape[0] != 2**n:
+        raise ValueError(f"expected {2**n} rows for {n} sites, got shape {cols.shape}")
+    flat = cols.reshape(2**n, -1)
+    out = np.zeros_like(flat)
+    t = float(time)
+    for idx, w, v in _sector_eigh(n, profile.couplings):
+        sub = np.ascontiguousarray(flat[idx])
+        if not np.any(sub):
+            continue
+        # the blocks are real: multiply real and imaginary parts in one real product
+        rot = (v.T @ sub.view(float)).view(complex)
+        rot *= np.exp(-1j * w * t)[:, None]
+        out[idx] = (v @ rot.view(float)).view(complex)
+    return out.reshape(cols.shape)
 
 
-def _evolve_vector(amps: np.ndarray, n: int, couplings: tuple[float, ...],
-                   t: float, engine: str) -> np.ndarray:
-    if engine == "auto":
-        engine = "dense" if n < _DENSE_LIMIT else "sector"
-    if engine == "dense":
-        if n > _DENSE_LIMIT + 1:
-            raise ResourceLimitError(
-                f"dense evolution limited to {_DENSE_LIMIT + 1} sites, got {n}"
-            )
-        w, v = _dense_eigh(n, couplings)
-        return v @ (np.exp(-1j * w * t) * (v.conj().T @ amps))
-    if engine == "sector":
-        out = np.zeros_like(amps, dtype=complex)
-        for idx, w, v in _sector_eigh(n, couplings):
-            sub = amps[idx]
-            if np.any(sub):
-                out[idx] = v @ (np.exp(-1j * w * t) * (v.T @ sub))
-        return out
-    raise ValueError(f"unknown engine {engine!r}")
+def _sandwich(mat: np.ndarray, profile: CouplingProfile, time: float) -> np.ndarray:
+    """U mat U^dagger for U = e^{-iHt}, as two column evolutions."""
+    left = evolve_columns(mat.conj().T, profile, time)
+    return evolve_columns(left.conj().T, profile, time)
 
 
-def evolve(state, profile: CouplingProfile, time: float, engine: str = "auto"):
+def evolve(state, profile: CouplingProfile, time: float):
     """Schroedinger evolution e^{-iHt} of a state under the chain Hamiltonian.
 
     Accepts a StateVector or a DensityMatrix and returns the same type.
-    Density-matrix evolution is dense and limited to 12 sites.
+    Both go through :func:`evolve_columns`; density matrices are limited to
+    12 sites.
     """
-    t = float(time)
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise TypeError(f"cannot evolve {type(state).__name__}")
+    if state.n_sites != profile.n_sites:
+        raise ValueError("state and profile disagree on the chain length")
     if isinstance(state, StateVector):
-        if state.n_sites != profile.n_sites:
-            raise ValueError("state and profile disagree on the chain length")
-        _check_cap(profile.n_sites)
-        amps = _evolve_vector(
-            state.amplitudes, profile.n_sites, profile.couplings, t, engine
+        return StateVector(state.n_sites, evolve_columns(state.amplitudes, profile, time))
+    if profile.n_sites > _DM_SITE_LIMIT:
+        raise ResourceLimitError(
+            f"density-matrix evolution limited to {_DM_SITE_LIMIT} sites"
         )
-        return StateVector(state.n_sites, amps)
-    if isinstance(state, DensityMatrix):
-        if state.n_sites != profile.n_sites:
-            raise ValueError("state and profile disagree on the chain length")
-        _check_cap(profile.n_sites)
-        if profile.n_sites > _DM_SITE_LIMIT:
-            raise ResourceLimitError(
-                f"density-matrix evolution limited to {_DM_SITE_LIMIT} sites"
-            )
-        u = _dm_evolution_matrix(profile.n_sites, profile.couplings, t)
-        return DensityMatrix(state.n_sites, u @ state.matrix @ u.conj().T)
-    raise TypeError(f"cannot evolve {type(state).__name__}")
+    return DensityMatrix(state.n_sites, _sandwich(state.matrix, profile, time))
 
 
 def conjugate_operator(op, profile: CouplingProfile, time: float) -> np.ndarray:
     """Heisenberg-evolved operator e^{iHt} O e^{-iHt} as a dense matrix.
 
     `op` may be a PauliString, a dense matrix, or an iterable of
-    PauliStrings which are summed.  Dense conjugation only; limited to
-    8 sites.
+    PauliStrings which are summed.  Limited to 8 sites.
     """
     n = profile.n_sites
     if n > 8:
@@ -369,8 +357,7 @@ def conjugate_operator(op, profile: CouplingProfile, time: float) -> np.ndarray:
             raise ValueError(f"operator shape {mat.shape} does not match {n} sites")
     else:
         mat = sum(p.to_matrix() for p in op)
-    u = _dm_evolution_matrix(n, profile.couplings, float(time))
-    return u.conj().T @ mat @ u
+    return _sandwich(mat, profile, -float(time))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +459,7 @@ def project_site(state, site: int, axis: str = "z", outcome: int = 1,
         shaped = state.amplitudes.reshape(2 ** (site - 1), 2, 2 ** (n - site))
         overlap = np.einsum("i,aib->ab", ket.conj(), shaped)
         prob = float(np.sum(np.abs(overlap) ** 2))
-        if prob < _PROB_FLOOR:
+        if prob < PROB_FLOOR:
             raise ZeroProbabilityError(
                 f"outcome {outcome:+d} on site {site} has probability {prob:.3e}"
             )
@@ -486,7 +473,7 @@ def project_site(state, site: int, axis: str = "z", outcome: int = 1,
         shaped = state.matrix.reshape(left, 2, right, left, 2, right)
         block = np.einsum("i,aibcjd,j->abcd", ket.conj(), shaped, ket)
         prob = float(np.real(np.einsum("abab->", block)))
-        if prob < _PROB_FLOOR:
+        if prob < PROB_FLOOR:
             raise ZeroProbabilityError(
                 f"outcome {outcome:+d} on site {site} has probability {prob:.3e}"
             )
@@ -628,13 +615,25 @@ def thermal_medium(profile: CouplingProfile, beta: float,
         gibbs = (v * weights) @ v.conj().T
         return DensityMatrix(n_med, gibbs / np.trace(gibbs))
     if variant == "fullchain":
-        if n > _DM_SITE_LIMIT:
-            raise ResourceLimitError(
-                f"full-chain thermal state limited to {_DM_SITE_LIMIT} sites"
-            )
-        w, v = _dense_eigh(n, profile.couplings)
-        weights = np.exp(-beta * (w - w[0]))
-        gibbs = (v * weights) @ v.conj().T
-        full = DensityMatrix(n, gibbs / np.trace(gibbs))
-        return reduced_state(full, range(2, n))
+        _check_cap(n)
+        blocks = _sector_eigh(n, profile.couplings)
+        ground = min(w[0] for _, w, _ in blocks)
+        n_med = n - 2
+        gibbs = np.zeros((2**n_med, 2**n_med))
+        for idx, w, v in blocks:
+            # the whole-chain state is block diagonal with these eigenvalues,
+            # so they alone certify its positivity
+            weights = np.exp(-beta * (w - ground))
+            if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+                raise InternalConsistencyError(
+                    f"full-chain Gibbs weights not finite and nonnegative at beta={beta}"
+                )
+            # trace out sites 1 and N: only rows sharing both end bits meet
+            ends = 2 * (idx >> (n - 1)) + (idx & 1)
+            interior = (idx >> 1) & (2**n_med - 1)
+            for end in range(4):
+                rows = ends == end
+                part = v[rows]
+                gibbs[np.ix_(interior[rows], interior[rows])] += (part * weights) @ part.T
+        return DensityMatrix(n_med, gibbs / np.trace(gibbs))
     raise ValueError(f"unknown thermal variant {variant!r}")

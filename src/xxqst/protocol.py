@@ -17,14 +17,14 @@ from typing import Union
 import numpy as np
 
 from .chain import CouplingProfile
-from .errors import ResourceLimitError, ZeroProbabilityError
+from .errors import InternalConsistencyError, ResourceLimitError, ZeroProbabilityError
 from .oracle import (
+    PROB_FLOOR,
     DensityMatrix,
     PauliString,
     StateVector,
-    _DM_SITE_LIMIT,
-    _dm_evolution_matrix,
     conjugate_operator,
+    evolve_columns,
     fidelity,
     oracle_cap,
     thermal_medium,
@@ -48,7 +48,8 @@ __all__ = [
 
 REVIVAL_TIME = math.pi / 4
 
-_PROB_FLOOR = 1e-14
+# the factored chain state holds 2**n x 2**(n-1) amplitudes, 128 MB at 12 sites
+_SITE_LIMIT = 12
 _SQRT2 = math.sqrt(2.0)
 # exact powers of i, indexed by exponent mod 4
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -79,11 +80,16 @@ def bloch_state(theta: float, phi: float) -> StateVector:
     return StateVector(1, amps)
 
 
-def _state_matrix(state) -> np.ndarray:
+def _factor(state) -> tuple[np.ndarray, np.ndarray]:
+    """Columns V and weights w with V diag(w) V^dagger equal to the state;
+    the weights of a mixed state are its eigenvalues, negative roundoff kept."""
     if isinstance(state, StateVector):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
+        return state.amplitudes[:, None], np.ones(1)
     if isinstance(state, DensityMatrix):
-        return state.matrix
+        mat = state.matrix
+        # a real matrix (a Gibbs state, say) diagonalizes four times faster as such
+        w, v = np.linalg.eigh(mat if np.any(mat.imag) else mat.real)
+        return v, w
     raise TypeError(f"expected StateVector or DensityMatrix, got {type(state).__name__}")
 
 
@@ -183,25 +189,22 @@ class ProtocolResult:
         }
 
 
-def _medium_matrix(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
+def _medium_factor(config: ProtocolConfig, rng: np.random.Generator):
     n = config.profile.n_sites
     if n == 2:
-        return np.ones((1, 1), dtype=complex)
+        return np.ones((1, 1), dtype=complex), np.ones(1)
     dim = 2 ** (n - 2)
     kind, beta, explicit = _parse_medium(config.medium)
     if kind == "zero":
-        med = np.zeros((dim, dim), dtype=complex)
-        med[0, 0] = 1.0
-        return med
+        return _factor(StateVector.basis(n - 2, 0))
     if kind == "mixed":
-        return np.eye(dim, dtype=complex) / dim
+        return np.eye(dim, dtype=complex), np.full(dim, 1.0 / dim)
     if kind == "random":
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi /= np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
+        return _factor(StateVector.normalized(n - 2, psi))
     if kind == "thermal":
-        return thermal_medium(config.profile, beta, config.thermal_variant).matrix
-    return _state_matrix(explicit)
+        return _factor(thermal_medium(config.profile, beta, config.thermal_variant))
+    return _factor(explicit)
 
 
 def _equatorial_ket(n: int, outcome: int) -> np.ndarray:
@@ -209,29 +212,45 @@ def _equatorial_ket(n: int, outcome: int) -> np.ndarray:
     return np.array([1.0, outcome * _I_POW[n % 4]]) / _SQRT2
 
 
-def _check_protocol_size(n: int) -> None:
-    cap = min(oracle_cap(), _DM_SITE_LIMIT)
+def _prepare(config: ProtocolConfig):
+    """rho_in (x) medium on sites 1..N-1 as columns V and weights w with
+    rho = V diag(w) V^dagger, the probabilities of the site-N outcomes, and
+    the seeded generator after its medium draw."""
+    n = config.profile.n_sites
+    cap = min(oracle_cap(), _SITE_LIMIT)
     if n > cap:
-        raise ResourceLimitError(
-            f"protocol runs are limited to {cap} sites, got {n}"
-        )
+        raise ResourceLimitError(f"protocol runs are limited to {cap} sites, got {n}")
+    rng = np.random.default_rng(config.seed)
+    in_cols, in_w = _factor(config.input_state)
+    med_cols, med_w = _medium_factor(config, rng)
+    front = np.einsum("ia,jb->ijab", in_cols, med_cols).reshape(2 ** (n - 1), -1)
+    end_cols, end_w = _factor(config.end_state or StateVector.basis(1, 0))
+    p_pre = {o: float(np.sum(end_w * np.abs(_equatorial_ket(n, o).conj() @ end_cols) ** 2))
+             for o in (1, -1)}
+    return front, np.outer(in_w, med_w).ravel(), p_pre, rng
 
 
-def _site_n_output(evolved: np.ndarray, n: int, o_post: int) -> tuple[float, np.ndarray]:
-    """X-measure site 1 of an evolved chain matrix, return (probability,
-    unnormalized site-N matrix of the surviving branch)."""
-    half = 2 ** (n - 1)
-    blocks = evolved.reshape(2, half, 2, half)
-    rest = (
-        blocks[0, :, 0, :]
-        + o_post * blocks[0, :, 1, :]
-        + o_post * blocks[1, :, 0, :]
-        + blocks[1, :, 1, :]
-    ) / 2.0
-    prob = float(np.real(np.trace(rest)))
+def _post_outcomes(config: ProtocolConfig, front, weights, o_pre: int) -> dict:
+    """Project site N onto the o_pre ket, evolve, X-measure site 1.
+
+    Returns {o_post: (probability, unnormalized site-N matrix)}, both read
+    from the reduced matrix of sites 1 and N, sum_k w_k Tr_{2..N-1} b_k b_k^dagger
+    over the evolved columns b_k.
+    """
+    n = config.profile.n_sites
+    ket = _equatorial_ket(n, o_pre)
+    cols = (front[:, None, :] * ket[None, :, None]).reshape(2**n, -1)
+    evolved = evolve_columns(cols, config.profile, config.effective_time)
     quarter = 2 ** (n - 2)
-    shaped = rest.reshape(quarter, 2, quarter, 2)
-    return prob, np.einsum("aiaj->ij", shaped)
+    # rows (site 1, site N), columns (interior index, k); axes of ends: (1, N, 1', N')
+    rows = evolved.reshape(2, quarter, 2, -1).transpose(0, 2, 1, 3).reshape(4, -1)
+    ends = ((rows * np.tile(weights, quarter)) @ rows.conj().T).reshape(2, 2, 2, 2)
+    outcomes = {}
+    for o_post in (1, -1):
+        # site 1 projected onto (|0> + o_post |1>)/sqrt(2)
+        site_n = (ends[0, :, 0] + ends[1, :, 1] + o_post * (ends[0, :, 1] + ends[1, :, 0])) / 2.0
+        outcomes[o_post] = (float(np.real(np.trace(site_n))), site_n)
+    return outcomes
 
 
 def _correct(site_n: np.ndarray, n: int, sign: int) -> np.ndarray:
@@ -247,7 +266,14 @@ def _finish_branch(config, site_n, o_pre, o_post, weight, t, apply_correction):
         label = f"S^{n}" if o_pre * o_post > 0 else f"S^{n}*Z"
     else:
         label = "none"
-    # scrub evolution roundoff before the type checks trace and Hermiticity
+    anti = float(np.max(np.abs(site_n - site_n.conj().T))) / 2.0
+    trace_err = abs(np.trace(site_n) - 1.0)
+    if max(anti, trace_err) > 1e-12:
+        raise InternalConsistencyError(
+            f"branch ({o_pre:+d}, {o_post:+d}) output off by {anti:.3e} (anti-Hermitian "
+            f"part) and {trace_err:.3e} (trace), past the clean-up bound 1e-12"
+        )
+    # scrub the roundoff just bounded before the type checks trace and Hermiticity
     site_n = (site_n + site_n.conj().T) / 2.0
     site_n = site_n / float(np.real(np.trace(site_n)))
     output = DensityMatrix(1, site_n)
@@ -264,33 +290,18 @@ def run_protocol_branches(
     remaining weights sum to 1 up to that floor.  Random-pure mediums are
     drawn once from the config seed and shared by all branches.
     """
-    n = config.profile.n_sites
-    _check_protocol_size(n)
     t = config.effective_time
-    rng = np.random.default_rng(config.seed)
-    rho_in = _state_matrix(config.input_state)
-    med = _medium_matrix(config, rng)
-    end = _state_matrix(config.end_state) if config.end_state is not None \
-        else np.diag([1.0, 0.0]).astype(complex)
-    evo = _dm_evolution_matrix(n, config.profile.couplings, t)
+    front, weights, p_pres, _ = _prepare(config)
     results = []
-    for o_pre in (1, -1):
-        ket = _equatorial_ket(n, o_pre)
-        p_pre = float(np.real(ket.conj() @ end @ ket))
-        if p_pre < _PROB_FLOOR:
+    for o_pre, p_pre in p_pres.items():
+        if p_pre < PROB_FLOOR:
             continue
-        assembled = np.kron(np.kron(rho_in, med), np.outer(ket, ket.conj()))
-        evolved = evo @ assembled @ evo.conj().T
-        for o_post in (1, -1):
-            p_post, site_n = _site_n_output(evolved, n, o_post)
-            if p_post < _PROB_FLOOR:
+        for o_post, (p_post, site_n) in _post_outcomes(config, front, weights, o_pre).items():
+            if p_post < PROB_FLOOR:
                 continue
-            results.append(
-                _finish_branch(
-                    config, site_n / p_post, o_pre, o_post,
-                    p_pre * p_post, t, apply_correction,
-                )
-            )
+            results.append(_finish_branch(
+                config, site_n / p_post, o_pre, o_post, p_pre * p_post, t, apply_correction,
+            ))
     if not results:
         raise ZeroProbabilityError("every outcome branch has vanishing probability")
     return tuple(results)
@@ -299,37 +310,18 @@ def run_protocol_branches(
 def run_protocol(config: ProtocolConfig, apply_correction: bool = True) -> ProtocolResult:
     """Single sampled run: outcomes drawn with Born probabilities from the
     config seed.  Deterministic given (config, seed)."""
-    n = config.profile.n_sites
-    _check_protocol_size(n)
-    t = config.effective_time
-    rng = np.random.default_rng(config.seed)
-    rho_in = _state_matrix(config.input_state)
-    med = _medium_matrix(config, rng)
-    end = _state_matrix(config.end_state) if config.end_state is not None \
-        else np.diag([1.0, 0.0]).astype(complex)
-
-    ket_plus = _equatorial_ket(n, 1)
-    p_plus = float(np.real(ket_plus.conj() @ end @ ket_plus))
-    o_pre = 1 if rng.random() < min(max(p_plus, 0.0), 1.0) else -1
-    ket = _equatorial_ket(n, o_pre)
-    p_pre = p_plus if o_pre == 1 else 1.0 - p_plus
-
-    assembled = np.kron(np.kron(rho_in, med), np.outer(ket, ket.conj()))
-    evo = _dm_evolution_matrix(n, config.profile.couplings, t)
-    evolved = evo @ assembled @ evo.conj().T
-
-    p_post_plus, site_plus = _site_n_output(evolved, n, 1)
-    o_post = 1 if rng.random() < min(max(p_post_plus, 0.0), 1.0) else -1
-    if o_post == 1:
-        p_post, site_n = p_post_plus, site_plus
-    else:
-        p_post, site_n = _site_n_output(evolved, n, -1)
-    if p_post < _PROB_FLOOR:
+    front, weights, p_pres, rng = _prepare(config)
+    o_pre = 1 if rng.random() < min(max(p_pres[1], 0.0), 1.0) else -1
+    outcomes = _post_outcomes(config, front, weights, o_pre)
+    o_post = 1 if rng.random() < min(max(outcomes[1][0], 0.0), 1.0) else -1
+    p_post, site_n = outcomes[o_post]
+    if p_post < PROB_FLOOR:
         raise ZeroProbabilityError(
             f"sampled branch ({o_pre:+d}, {o_post:+d}) has vanishing probability"
         )
     return _finish_branch(
-        config, site_n / p_post, o_pre, o_post, p_pre * p_post, t, apply_correction
+        config, site_n / p_post, o_pre, o_post, p_pres[o_pre] * p_post,
+        config.effective_time, apply_correction,
     )
 
 

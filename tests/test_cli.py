@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -205,6 +206,13 @@ def test_transfer_size_cap_exit_code(capsys, monkeypatch):
     )
     assert code == 3
     assert "cap" in err or "limit" in err or "sites" in err
+
+
+def test_oracle_cap_flag_leaves_environment_unchanged(capsys):
+    before = dict(os.environ)
+    assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "3")[0] == 0
+    assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "6")[0] == 3
+    assert dict(os.environ) == before
 
 
 # ---------------------------------------------------------------------------

@@ -165,13 +165,19 @@ def test_evolve_matches_reference(rng):
         assert np.max(np.abs(ours - theirs)) < 1e-10
 
 
-def test_evolve_engines_agree(rng):
-    profile = perfect_profile(6)
-    psi = reference.random_pure(rng, 6)
-    t = 0.9
-    dense = evolve(StateVector(6, psi), profile, t, engine="dense")
-    sector = evolve(StateVector(6, psi), profile, t, engine="sector")
-    assert np.max(np.abs(dense.amplitudes - sector.amplitudes)) < 1e-12
+@pytest.mark.parametrize("n", range(2, 10))
+def test_evolve_kernel_matches_reference(rng, n):
+    # both state types go through the one sector-block kernel
+    couplings = tuple(rng.random(n - 1) + 0.3)
+    profile = CouplingProfile(n, couplings)
+    t = float(rng.uniform(0, 2))
+    u = reference.evolution_operator(couplings, t)
+    psi = reference.random_pure(rng, n)
+    rho = reference.random_mixed(rng, n)
+    vector = evolve(StateVector(n, psi), profile, t).amplitudes
+    matrix = evolve(DensityMatrix(n, rho), profile, t).matrix
+    assert np.max(np.abs(vector - u @ psi)) < 1e-10
+    assert np.max(np.abs(matrix - u @ rho @ u.conj().T)) < 1e-10
 
 
 def test_evolve_unitary_and_reversible(rng):
@@ -253,6 +259,15 @@ def test_conjugate_matches_reference(rng):
     theirs = reference.heisenberg_conjugate(
         reference.site_operator(4, 1, "X"), couplings, 0.52
     )
+    assert np.max(np.abs(ours - theirs)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_conjugate_kernel_matches_reference(rng, n):
+    couplings = tuple(rng.random(n - 1) + 0.3)
+    op = reference.random_mixed(rng, n) + 1j * reference.random_mixed(rng, n)
+    ours = conjugate_operator(op, CouplingProfile(n, couplings), 0.83)
+    theirs = reference.heisenberg_conjugate(op, couplings, 0.83)
     assert np.max(np.abs(ours - theirs)) < 1e-10
 
 
@@ -458,6 +473,19 @@ def test_thermal_medium_fullchain_variant():
     assert np.max(np.abs(sub.matrix - full.matrix)) > 1e-3
     with pytest.raises(ValueError):
         thermal_medium(profile, 1.0, variant="open")
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_thermal_medium_fullchain_matches_reference(n):
+    profile = perfect_profile(n)
+    hamiltonian = reference.chain_hamiltonian(profile.couplings)
+    dim = 2 ** (n - 2)
+    for beta in (0.0, 0.5, 3.0):
+        ours = thermal_medium(profile, beta, variant="fullchain").matrix
+        full = reference.gibbs_state(hamiltonian, beta)
+        # trace out site 1 and site N
+        theirs = np.einsum("iajibj->ab", full.reshape(2, dim, 2, 2, dim, 2))
+        assert np.max(np.abs(ours - theirs)) < 1e-10
 
 
 def test_thermal_medium_validation():

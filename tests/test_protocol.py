@@ -8,6 +8,7 @@ from xxqst import (
     AXIAL_NAMES,
     REVIVAL_TIME,
     DensityMatrix,
+    InternalConsistencyError,
     ProtocolConfig,
     StateVector,
     average_fidelity,
@@ -150,6 +151,60 @@ def test_branches_match_reference(rng, n, t, medium_kind):
     for key, (prob, rho_out) in theirs.items():
         assert ours[key].probability == pytest.approx(prob, abs=1e-10)
         assert np.max(np.abs(ours[key].output_state.matrix - rho_out)) < 1e-10
+
+
+def test_explicit_medium_with_negative_roundoff_eigenvalue(rng):
+    # the factored protocol carries mixed-state weights as they are: a
+    # clipped or square-rooted -1e-11 weight would miss the reference
+    n = 5
+    profile = perfect_profile(n)
+    w, v = np.linalg.eigh(reference.random_mixed(rng, n - 2, terms=8))
+    w[0] = -1e-11
+    w[1:] *= (1.0 - w[0]) / np.sum(w[1:])
+    medium = (v * w) @ v.conj().T
+    medium = (medium + medium.conj().T) / 2.0
+    rho_in = reference.random_mixed(rng, 1)
+    config = ProtocolConfig(
+        profile, DensityMatrix(1, rho_in), medium=DensityMatrix(n - 2, medium),
+        evolution_time=1.1,
+    )
+    ours = branch_map(run_protocol_branches(config))
+    theirs = reference.protocol_branches(profile.couplings, 1.1, rho_in, medium)
+    assert set(ours) == {(a, b) for a, b, _, _ in theirs}
+    for a, b, prob, rho_out in theirs:
+        assert abs(ours[(a, b)].probability - prob) < 1e-12
+        assert np.max(np.abs(ours[(a, b)].output_state.matrix - rho_out)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_perfect_transfer_long_chains_every_medium(n):
+    profile = perfect_profile(n)
+    mediums = [("all-zero", "subchain"), ("maximally-mixed", "subchain"),
+               ("random-pure", "subchain"), ("thermal:0.8", "subchain"),
+               ("thermal:0.8", "fullchain")]
+    for medium, variant in mediums:
+        config = ProtocolConfig(
+            profile, bloch_state(1.1, 0.4), medium=medium, seed=3,
+            thermal_variant=variant,
+        )
+        branches = run_protocol_branches(config)
+        assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
+        for branch in branches:
+            assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
+
+
+def test_finish_branch_bounds_its_cleanup():
+    from xxqst.protocol import _finish_branch
+
+    config = ProtocolConfig(perfect_profile(3), axial_state("+x"))
+    plus_x = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    result = _finish_branch(config, plus_x, 1, 1, 0.25, REVIVAL_TIME, False)
+    assert result.fidelity_out == pytest.approx(1.0, abs=1e-12)
+    off_hermitian = plus_x + np.array([[0.0, 1e-9j], [0.0, 0.0]])
+    off_trace = plus_x * (1.0 + 1e-9)
+    for corrupted in (off_hermitian, off_trace):
+        with pytest.raises(InternalConsistencyError):
+            _finish_branch(config, corrupted, 1, 1, 0.25, REVIVAL_TIME, True)
 
 
 def test_correction_is_necessary():

@@ -14,7 +14,6 @@ forward propagation under the reversed coupling profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -112,18 +111,9 @@ class Propagator:
         return np.ascontiguousarray(raw.real.T)
 
 
-@lru_cache(maxsize=128)
-def _cached_propagator(dimension: int, subdiagonal: tuple[float, ...]) -> Propagator:
-    return Propagator(Generator(dimension, subdiagonal))
-
-
-def _propagator_for(generator: Generator) -> Propagator:
-    return _cached_propagator(generator.dimension, generator.subdiagonal)
-
-
 def propagate(generator: Generator, time: float) -> CoefficientVector:
     """Coefficients of X_1(t) in the forward string basis."""
-    values = _propagator_for(generator).coefficients(float(time))
+    values = Propagator(generator).coefficients(float(time))
     return CoefficientVector(float(time), values, "site1")
 
 
@@ -133,7 +123,7 @@ def mirror_propagate(generator: Generator, time: float) -> CoefficientVector:
     Equivalent to forward propagation with the subdiagonal reversed; for
     centro-symmetric profiles the two families coincide.
     """
-    values = _propagator_for(generator.reversed()).coefficients(float(time))
+    values = Propagator(generator.reversed()).coefficients(float(time))
     return CoefficientVector(float(time), values, "siteN")
 
 
@@ -155,8 +145,6 @@ def coefficient_trace(
     elif origin != "site1":
         raise ValueError(f"unknown origin {origin!r}")
     times = np.linspace(0.0, t_max, steps)
-    # every time is evaluated in this one call, so caching the propagator
-    # would only keep its N x N eigenvectors alive
     values = Propagator(generator).coefficients_many(times)
     return CoefficientTrace(times, values, origin)
 
@@ -165,5 +153,5 @@ def estimate_fidelity(profile: CouplingProfile, time: float) -> float:
     """Transfer estimate alpha_N(t)^2, the weight of the fully transferred
     string in X_1(t).  Equals the exact transfer fidelity only at perfect
     revival; elsewhere it is the quantity the profile search optimises."""
-    values = _propagator_for(build_generator(profile)).coefficients(float(time))
+    values = Propagator(build_generator(profile)).coefficients(float(time))
     return float(values[-1] ** 2)

@@ -3,9 +3,9 @@
 For chains that are uniform except for weakened end bonds, transfer is
 never perfect; the cheap surrogate objective is the squared weight of the
 fully transferred operator string, evaluated with the coefficient engine.
-A coarse grid sweep locates the basin, coordinate-wise golden-section
-refinement polishes it, and the exact protocol average cross-checks the
-surrogate.
+A coarse grid sweep locates the basin, a nested golden-section search
+(coupling strength outside, readout time inside) polishes it, and the
+exact protocol average cross-checks the surrogate.
 """
 from __future__ import annotations
 
@@ -34,6 +34,9 @@ DEFAULT_ETA_RANGE = (0.3, 1.5)
 DEFAULT_T_RANGE = (0.5, 4.0)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# searches per level before a walk that keeps landing on a window edge
+# gives up and reports converged=False
+_MAX_ROUNDS = 20
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,15 @@ class SweepResult:
     best_time: float
     best_estimate: float
 
+    @property
+    def on_edge(self) -> bool:
+        """True when the grid maximum lies on the first or last eta or t
+        value: the best point may then lie outside the swept ranges."""
+        return bool(
+            self.best_eta in (self.eta_values[0], self.eta_values[-1])
+            or self.best_time in (self.t_values[0], self.t_values[-1])
+        )
+
 
 @dataclass(frozen=True)
 class RefineResult:
@@ -58,6 +70,7 @@ class RefineResult:
     improved: bool
     rounds: int
     trace: tuple[tuple[float, float, float], ...]
+    converged: bool              # False only when the re-centring bound ran out
 
 
 @dataclass(frozen=True)
@@ -86,7 +99,9 @@ class OptimizationResult:
             "grid_eta": self.sweep.best_eta,
             "grid_time": self.sweep.best_time,
             "grid_estimate": self.sweep.best_estimate,
+            "grid_on_edge": self.sweep.on_edge,
             "refine_rounds": self.refinement.rounds,
+            "converged": self.refinement.converged,
         }
 
 
@@ -143,13 +158,16 @@ def sweep(
     return result
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Argmax of f on [lo, hi] assuming one interior hump."""
+def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Best probe (x, f(x)) of a golden-section search for the maximum of f
+    on [lo, hi], assuming one interior hump; the last bracket is at most
+    tol wide, or as narrow as float spacing allows."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    # a tol below the float spacing would otherwise cycle on two neighbours
+    while b - a > tol and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -158,7 +176,29 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-    return (a + b) / 2.0
+    return (c, fc) if fc > fd else (d, fd)
+
+
+def _climb(f, x: float, window: float, tol: float, floor: float = -math.inf):
+    """Local maximum of f reached from x by golden section on x +- window
+    (clipped below at floor).  While the maximum lands within tol of a
+    window edge, the window is re-centred on it and searched again.
+
+    Returns the path [(x, f(x)), ...], the start and then the best point
+    after each search, and whether the walk stopped on an interior or
+    unmoved maximum within _MAX_ROUNDS searches.  A point replaces the
+    current one only when its value is higher.
+    """
+    path = [(x, f(x))]
+    for _ in range(_MAX_ROUNDS):
+        lo, hi = max(x - window, floor), x + window
+        cand, value = _golden_max(f, lo, hi, tol)
+        moved = value > path[-1][1]
+        path.append((cand, value) if moved else path[-1])
+        x = path[-1][0]
+        if not moved or lo + tol < cand < hi - tol:
+            return path, True
+    return path, False
 
 
 def refine(
@@ -167,59 +207,39 @@ def refine(
     tolerance: float = 1e-5,
     eta_window: float = 0.2,
     t_window: float = 0.4,
-    max_rounds: int = 60,
 ) -> RefineResult:
-    """Polish a sweep argmax by alternating golden-section line searches.
+    """Polish a sweep argmax by a nested golden-section search.
 
-    Windows around the current point halve every round, so the walk both
-    escapes coarse-grid quantization and converges; it stops once neither
-    coordinate moves by more than `tolerance`.  A start the search cannot
-    improve is returned unchanged with improved=False.
+    The outer search runs over the coupling strength eta and scores each
+    eta by the best readout time near the start time (``refine_time`` on
+    that chain), so it climbs the ridge of best times directly.  Both
+    levels search their window around the current point to `tolerance`
+    and re-centre it while the maximum lands on an edge.  The trace holds
+    the start and the best point after each outer search.  A start the
+    search cannot improve is returned unchanged with improved=False.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-
-    def objective(eta: float, t: float) -> float:
-        return estimate_fidelity(boundary_profile(n, eta), t)
-
     eta, t = float(start_point[0]), float(start_point[1])
     if eta <= 0:
         raise ValueError(f"start eta must be positive, got {eta}")
-    value = objective(eta, t)
-    start = (eta, t, value)
-    trace = [start]
-    w_eta, w_t = float(eta_window), float(t_window)
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        moved = 0.0
-        cand = _golden_max(
-            lambda e: objective(e, t), max(eta - w_eta, tolerance), eta + w_eta,
-            tolerance / 4.0,
-        )
-        cand_value = objective(cand, t)
-        if cand_value > value:
-            moved = max(moved, abs(cand - eta))
-            eta, value = cand, cand_value
-        cand = _golden_max(
-            lambda x: objective(eta, x), t - w_t, t + w_t, tolerance / 4.0
-        )
-        cand_value = objective(eta, cand)
-        if cand_value > value:
-            moved = max(moved, abs(cand - t))
-            t, value = cand, cand_value
-        trace.append((eta, t, value))
-        at_floor = w_eta <= 2.0 * tolerance and w_t <= 2.0 * tolerance
-        if moved < tolerance and at_floor:
-            break
-        w_eta = max(w_eta / 2.0, 2.0 * tolerance)
-        w_t = max(w_t / 2.0, 2.0 * tolerance)
+    best_times = {}
+
+    def score(e: float) -> float:
+        best_times[e] = refine_time(boundary_profile(n, e), t, tolerance, t_window)
+        return best_times[e].estimate
+
+    path, converged = _climb(score, eta, eta_window, tolerance / 4.0, floor=tolerance)
+    start = (eta, t, estimate_fidelity(boundary_profile(n, eta), t))
+    trace = (start,) + tuple((e, best_times[e].time, v) for e, v in path[1:])
+    eta, t, value = trace[-1]
     improved = value > start[2]
     if not improved:
         eta, t, value = start
     return RefineResult(
         n_sites=n, eta=float(eta), time=float(t), estimate=float(value),
-        improved=improved, rounds=rounds, trace=tuple(trace),
+        improved=improved, rounds=len(path) - 1, trace=trace,
+        converged=converged and best_times[path[-1][0]].converged,
     )
 
 
@@ -228,39 +248,22 @@ def refine_time(
     start_time: float,
     tolerance: float = 1e-5,
     window: float = 0.4,
-    max_rounds: int = 60,
 ) -> RefineResult:
-    """Golden-section search over readout time only, couplings fixed."""
+    """Golden-section search over readout time only, couplings fixed, on
+    one propagator; the window is re-centred as in ``refine``."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    t = float(start_time)
-    value = estimate_fidelity(profile, t)
-    start = t
-    start_value = value
-    trace = [(math.nan, t, value)]
-    w = float(window)
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        cand = _golden_max(
-            lambda x: estimate_fidelity(profile, x), t - w, t + w, tolerance / 4.0
-        )
-        cand_value = estimate_fidelity(profile, cand)
-        moved = 0.0
-        if cand_value > value:
-            moved = abs(cand - t)
-            t, value = cand, cand_value
-        trace.append((math.nan, t, value))
-        if moved < tolerance and w <= 2.0 * tolerance:
-            break
-        w = max(w / 2.0, 2.0 * tolerance)
-    improved = value > start_value
-    if not improved:
-        t, value = start, start_value
+    prop = Propagator(build_generator(profile))
+    path, converged = _climb(
+        lambda x: float(prop.coefficients(x)[-1] ** 2), float(start_time),
+        window, tolerance / 4.0,
+    )
+    t, value = path[-1]
     return RefineResult(
         n_sites=profile.n_sites, eta=math.nan, time=float(t),
-        estimate=float(value), improved=improved, rounds=rounds,
-        trace=tuple(trace),
+        estimate=float(value), improved=value > path[0][1],
+        rounds=len(path) - 1, trace=tuple((math.nan, x, v) for x, v in path),
+        converged=converged,
     )
 
 

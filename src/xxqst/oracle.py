@@ -271,7 +271,8 @@ class PauliString:
 # evolution
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
+# one chain at a time: peak memory stays bounded by the size cap
+@lru_cache(maxsize=1)
 def _sector_eigh(n: int, couplings: tuple[float, ...]):
     """Per-magnetization-sector eigensystems: tuples (indices, w, v)."""
     occ = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(np.int64)

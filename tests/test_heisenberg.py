@@ -128,17 +128,6 @@ def test_trace_two_steps():
     assert list(trace.times) == [0.0, 1.0]
 
 
-def test_trace_leaves_propagator_cache_alone():
-    from xxqst.heisenberg import _cached_propagator
-
-    before = _cached_propagator.cache_info()
-    # a chain no other test builds; a full cache would evict and keep its
-    # size, so the miss count is compared too
-    coefficient_trace(CouplingProfile(7, (0.31, 0.72, 1.13, 0.94, 0.55, 0.26)), 1.0, 50)
-    after = _cached_propagator.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
-
-
 def test_trace_validation():
     with pytest.raises(ValueError):
         coefficient_trace(perfect_profile(3), 1.0, 1)

@@ -119,6 +119,41 @@ def test_refine_unimprovable_start_returned_unchanged():
     assert result.rounds == 1
 
 
+def test_refine_lands_on_perfect_five_site_chain():
+    # the weak-end-bond family at n = 5 contains the perfect chain
+    grid = sweep(5)
+    polish = refine(5, (grid.best_eta, grid.best_time))
+    assert polish.eta == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-5)
+    assert polish.time == pytest.approx(math.pi * math.sqrt(6.0) / 4.0, abs=1e-5)
+    assert polish.estimate >= 1.0 - 1e-10
+    direct = estimate_fidelity(boundary_profile(5, polish.eta), polish.time)
+    assert polish.estimate == pytest.approx(direct, abs=1e-12)
+    assert polish.converged
+
+
+def test_refine_from_far_start_converges():
+    polish = refine(7, (0.6, 2.0))
+    assert polish.estimate >= 0.99180605
+    assert polish.converged
+    assert polish.rounds <= 5
+
+
+def test_refine_time_reports_exhausted_walk():
+    # a window far narrower than the climb to the revival at pi/4 keeps
+    # landing on its edge until the re-centring bound runs out
+    polish = refine_time(perfect_profile(5), 0.1, window=1e-3)
+    assert polish.improved
+    assert not polish.converged
+    assert polish.time < math.pi / 4
+
+
+def test_refine_time_tolerance_below_float_spacing():
+    # the search stops at float resolution instead of cycling forever
+    polish = refine_time(perfect_profile(5), 0.7, tolerance=1e-18)
+    assert polish.time == pytest.approx(math.pi / 4, abs=1e-6)
+    assert polish.converged
+
+
 def test_refine_validation():
     with pytest.raises(ValueError):
         refine(5, (0.8, 1.9), tolerance=0.0)
@@ -146,6 +181,14 @@ def test_optimize_boundary_five_sites():
     assert payload["n"] == 5
     assert payload["estimate"] == pytest.approx(result.estimate)
     assert payload["grid_estimate"] <= payload["estimate"] + 1e-12
+
+
+@pytest.mark.parametrize("n, on_edge", [(5, False), (12, True)])
+def test_optimize_boundary_flags_grid_edge(n, on_edge):
+    # at n = 12 the best time lies just past the default t range
+    payload = optimize_boundary(n).to_dict()
+    assert payload["grid_on_edge"] is on_edge
+    assert payload["converged"] is True
 
 
 def test_cross_validate_perfect_chain():

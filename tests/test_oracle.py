@@ -211,6 +211,15 @@ def test_evolve_density_matrix_consistent_with_vectors(rng):
     assert np.max(np.abs(via_matrix.matrix - expected)) < 1e-12
 
 
+def test_sector_cache_holds_one_chain():
+    # peak memory is bounded by one chain at the size cap, not by a cache length
+    from xxqst.oracle import _sector_eigh
+
+    evolve(StateVector.basis(4, 3), perfect_profile(4), 0.5)
+    evolve(StateVector.basis(5, 3), perfect_profile(5), 0.5)
+    assert _sector_eigh.cache_info().currsize == 1
+
+
 def test_evolve_respects_cap(monkeypatch):
     monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
     assert oracle_cap() == 4

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "build_generator",
     "build_hamiltonian_action",
     "dense_hamiltonian",
+    "sector_blocks",
 ]
 
 
@@ -162,12 +163,28 @@ def build_hamiltonian_action(profile: CouplingProfile) -> Callable[[np.ndarray],
     return action
 
 
-def dense_hamiltonian(profile: CouplingProfile) -> np.ndarray:
-    """Dense 2**n x 2**n Hamiltonian matrix; intended for small n."""
+def sector_blocks(profile: CouplingProfile) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (indices, block) for k = 0..n excitations, one sector at a time.
+    H conserves total Z: `block` is its real symmetric restriction to the
+    basis states with k excitations, listed in increasing order by `indices`."""
     n = profile.n_sites
-    dim = 2**n
+    occ = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(np.int64)
+    position = np.zeros(2**n, dtype=np.int64)
+    for k in range(n + 1):
+        idx = np.flatnonzero(occ == k)
+        position[idx] = np.arange(len(idx))
+        block = np.zeros((len(idx), len(idx)))
+        for b in range(1, n):
+            src, dst = _bond_indices(n, b)
+            mask = occ[src] == k
+            block[position[dst[mask]], position[src[mask]]] += 2.0 * profile.couplings[b - 1]
+        yield idx, block
+
+
+def dense_hamiltonian(profile: CouplingProfile) -> np.ndarray:
+    """Dense 2**n x 2**n Hamiltonian scattered from :func:`sector_blocks`; for small n."""
+    dim = 2**profile.n_sites
     h = np.zeros((dim, dim), dtype=complex)
-    for b in range(1, n):
-        (src, dst) = _bond_indices(n, b)
-        h[dst, src] += 2.0 * profile.couplings[b - 1]
+    for idx, block in sector_blocks(profile):
+        h[np.ix_(idx, idx)] = block
     return h

@@ -23,9 +23,12 @@ from . import __version__
 from .chain import CouplingProfile, boundary_profile, perfect_profile
 from .errors import InternalConsistencyError, ResourceLimitError
 from .heisenberg import coefficient_trace
-from .optimize import cross_validate, optimize_boundary, sweep
+from .optimize import (
+    DEFAULT_ETA_RANGE, DEFAULT_T_RANGE, cross_validate, optimize_boundary, sweep,
+)
 from .protocol import (
     AXIAL_NAMES,
+    REVIVAL_TIME,
     ProtocolConfig,
     axial_state,
     bloch_state,
@@ -227,7 +230,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_verify(args) -> int:
     profile = _parse_profile(args)
-    t = args.t if args.t is not None else math.pi / 4.0
+    t = args.t if args.t is not None else REVIVAL_TIME
     checks = verify_protocol_identities(profile, t, tolerance=args.tolerance)
     config = {
         "command": "verify",
@@ -287,6 +290,15 @@ def _add_profile_args(sub) -> None:
                      help="boundary coupling strength")
 
 
+def _add_search_args(sub) -> None:
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--eta-min", type=float, default=DEFAULT_ETA_RANGE[0])
+    sub.add_argument("--eta-max", type=float, default=DEFAULT_ETA_RANGE[1])
+    sub.add_argument("--t-min", type=parse_time, default=DEFAULT_T_RANGE[0])
+    sub.add_argument("--t-max", type=parse_time, default=DEFAULT_T_RANGE[1])
+    sub.add_argument("--resolution", type=int, default=96)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xxqst",
@@ -331,24 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd = commands.add_parser(
         "sweep", help="grid the transfer estimate over (eta, t)"
     )
-    sweep_cmd.add_argument("--n", type=int, required=True)
-    sweep_cmd.add_argument("--eta-min", type=float, default=0.3)
-    sweep_cmd.add_argument("--eta-max", type=float, default=1.5)
-    sweep_cmd.add_argument("--t-min", type=parse_time, default=0.5)
-    sweep_cmd.add_argument("--t-max", type=parse_time, default=4.0)
-    sweep_cmd.add_argument("--resolution", type=int, default=96)
+    _add_search_args(sweep_cmd)
     _add_common(sweep_cmd)
     sweep_cmd.set_defaults(handler=_cmd_sweep)
 
     opt = commands.add_parser(
         "optimize", help="sweep plus local refinement of the boundary profile"
     )
-    opt.add_argument("--n", type=int, required=True)
-    opt.add_argument("--eta-min", type=float, default=0.3)
-    opt.add_argument("--eta-max", type=float, default=1.5)
-    opt.add_argument("--t-min", type=parse_time, default=0.5)
-    opt.add_argument("--t-max", type=parse_time, default=4.0)
-    opt.add_argument("--resolution", type=int, default=96)
+    _add_search_args(opt)
     opt.add_argument("--tolerance", type=float, default=1e-5)
     opt.add_argument("--cross-validate", action="store_true",
                      help="also run the exact protocol average at the optimum")

@@ -1,16 +1,17 @@
 """Exact reference engine: full Hilbert-space states, Pauli strings and
 measurements for small XX chains.
 
-Everything here is brute-force linear algebra on 2**n dimensional spaces and
+Everything here is exact linear algebra on 2**n dimensional spaces and
 serves as the ground truth the fast coefficient engine is checked against.
 Site 1 occupies the most significant bit of a basis index, so |100...0>
 means an excitation on site 1.
 
 The admissible chain length is bounded by :func:`oracle_cap` (default 14,
-override with the ``XXQST_ORACLE_CAP`` environment variable).  All time
-evolution goes through :func:`evolve_columns`, which exploits that the chain
-conserves total Z: it diagonalizes one magnetization sector at a time and
-never forms a 2**n x 2**n propagator.
+override with the ``XXQST_ORACLE_CAP`` environment variable).  The chain
+conserves total Z, so time evolution (:func:`evolve_columns`) and both
+thermal mediums diagonalize the magnetization-sector blocks of
+:func:`xxqst.chain.sector_blocks` one at a time and never form the 2**n x
+2**n Hamiltonian or propagator.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .chain import CouplingProfile, dense_hamiltonian, _bond_indices
+from .chain import CouplingProfile, sector_blocks
 from .errors import InternalConsistencyError, ResourceLimitError, ZeroProbabilityError
 
 __all__ = [
@@ -271,24 +272,13 @@ class PauliString:
 # evolution
 # ---------------------------------------------------------------------------
 
-# one chain at a time: peak memory stays bounded by the size cap
-@lru_cache(maxsize=1)
-def _sector_eigh(n: int, couplings: tuple[float, ...]):
+def _eigensystems(profile: CouplingProfile):
     """Per-magnetization-sector eigensystems: tuples (indices, w, v)."""
-    occ = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(np.int64)
-    blocks = []
-    position = np.zeros(2**n, dtype=np.int64)
-    for k in range(n + 1):
-        idx = np.flatnonzero(occ == k)
-        position[idx] = np.arange(len(idx))
-        hk = np.zeros((len(idx), len(idx)), dtype=float)
-        for b in range(1, n):
-            src, dst = _bond_indices(n, b)
-            mask = occ[src] == k
-            hk[position[dst[mask]], position[src[mask]]] += 2.0 * couplings[b - 1]
-        w, v = np.linalg.eigh(hk)
-        blocks.append((idx, w, v))
-    return tuple(blocks)
+    return tuple((idx, *np.linalg.eigh(block)) for idx, block in sector_blocks(profile))
+
+
+# one chain at a time: peak memory stays bounded by the size cap
+_sector_eigh = lru_cache(maxsize=1)(_eigensystems)
 
 
 def evolve_columns(columns, profile: CouplingProfile, time: float) -> np.ndarray:
@@ -304,7 +294,7 @@ def evolve_columns(columns, profile: CouplingProfile, time: float) -> np.ndarray
     flat = cols.reshape(2**n, -1)
     out = np.zeros_like(flat)
     t = float(time)
-    for idx, w, v in _sector_eigh(n, profile.couplings):
+    for idx, w, v in _sector_eigh(profile):
         sub = np.ascontiguousarray(flat[idx])
         if not np.any(sub):
             continue
@@ -442,6 +432,27 @@ def _measurement_ket(axis: str, outcome: int, phase: float | None) -> np.ndarray
     raise ValueError(f"unknown axis {axis!r}")
 
 
+def _site_overlap(state, site: int, ket: np.ndarray):
+    """(probability, overlap) of finding `site` in `ket`.
+
+    The overlap is <ket|psi>, an array over the other sites, for a
+    StateVector and <ket|rho|ket> for a DensityMatrix.
+    """
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise TypeError(f"cannot measure {type(state).__name__}")
+    n = state.n_sites
+    if not 1 <= site <= n:
+        raise ValueError(f"site {site} out of range 1..{n}")
+    left, right = 2 ** (site - 1), 2 ** (n - site)
+    if isinstance(state, StateVector):
+        shaped = state.amplitudes.reshape(left, 2, right)
+        overlap = np.einsum("i,aib->ab", ket.conj(), shaped)
+        return float(np.sum(np.abs(overlap) ** 2)), overlap
+    shaped = state.matrix.reshape(left, 2, right, left, 2, right)
+    block = np.einsum("i,aibcjd,j->abcd", ket.conj(), shaped, ket)
+    return float(np.real(np.einsum("abab->", block))), block
+
+
 def project_site(state, site: int, axis: str = "z", outcome: int = 1,
                  phase: float | None = None):
     """Project one site onto a measurement eigenstate.
@@ -453,35 +464,17 @@ def project_site(state, site: int, axis: str = "z", outcome: int = 1,
     ZeroProbabilityError.
     """
     ket = _measurement_ket(axis, outcome, phase)
+    prob, overlap = _site_overlap(state, site, ket)
+    if prob < PROB_FLOOR:
+        raise ZeroProbabilityError(
+            f"outcome {outcome:+d} on site {site} has probability {prob:.3e}"
+        )
+    n = state.n_sites
     if isinstance(state, StateVector):
-        n = state.n_sites
-        if not 1 <= site <= n:
-            raise ValueError(f"site {site} out of range 1..{n}")
-        shaped = state.amplitudes.reshape(2 ** (site - 1), 2, 2 ** (n - site))
-        overlap = np.einsum("i,aib->ab", ket.conj(), shaped)
-        prob = float(np.sum(np.abs(overlap) ** 2))
-        if prob < PROB_FLOOR:
-            raise ZeroProbabilityError(
-                f"outcome {outcome:+d} on site {site} has probability {prob:.3e}"
-            )
         post = np.einsum("i,ab->aib", ket, overlap).reshape(-1) / np.sqrt(prob)
         return prob, StateVector(n, post)
-    if isinstance(state, DensityMatrix):
-        n = state.n_sites
-        if not 1 <= site <= n:
-            raise ValueError(f"site {site} out of range 1..{n}")
-        left, right = 2 ** (site - 1), 2 ** (n - site)
-        shaped = state.matrix.reshape(left, 2, right, left, 2, right)
-        block = np.einsum("i,aibcjd,j->abcd", ket.conj(), shaped, ket)
-        prob = float(np.real(np.einsum("abab->", block)))
-        if prob < PROB_FLOOR:
-            raise ZeroProbabilityError(
-                f"outcome {outcome:+d} on site {site} has probability {prob:.3e}"
-            )
-        post = np.einsum("i,abcd,j->aibcjd", ket, block / prob, ket.conj())
-        dim = 2**n
-        return prob, DensityMatrix(n, post.reshape(dim, dim))
-    raise TypeError(f"cannot project {type(state).__name__}")
+    post = np.einsum("i,abcd,j->aibcjd", ket, overlap / prob, ket.conj())
+    return prob, DensityMatrix(n, post.reshape(2**n, 2**n))
 
 
 def measure_site(state, site: int, axis: str = "z", phase: float | None = None,
@@ -493,21 +486,7 @@ def measure_site(state, site: int, axis: str = "z", phase: float | None = None,
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    ket_plus = _measurement_ket(axis, 1, phase)
-    if isinstance(state, StateVector):
-        n = state.n_sites
-        shaped = state.amplitudes.reshape(2 ** (site - 1), 2, 2 ** (n - site))
-        overlap = np.einsum("i,aib->ab", ket_plus.conj(), shaped)
-        p_plus = float(np.sum(np.abs(overlap) ** 2))
-    elif isinstance(state, DensityMatrix):
-        n = state.n_sites
-        left, right = 2 ** (site - 1), 2 ** (n - site)
-        shaped = state.matrix.reshape(left, 2, right, left, 2, right)
-        p_plus = float(np.real(
-            np.einsum("i,aibajb,j->", ket_plus.conj(), shaped, ket_plus)
-        ))
-    else:
-        raise TypeError(f"cannot measure {type(state).__name__}")
+    p_plus, _ = _site_overlap(state, site, _measurement_ket(axis, 1, phase))
     outcome = 1 if rng.random() < min(max(p_plus, 0.0), 1.0) else -1
     prob, post = project_site(state, site, axis=axis, outcome=outcome, phase=phase)
     return outcome, prob, post
@@ -596,8 +575,10 @@ def thermal_medium(profile: CouplingProfile, beta: float,
 
     "subchain" (default) takes exp(-beta H_med)/Z for the interior chain
     with couplings J_2..J_{N-2}; "fullchain" reduces the Gibbs state of the
-    whole chain to the interior.  beta = 0 gives the maximally mixed medium
-    exactly.
+    whole chain to the interior.  Both are built from the magnetization-
+    sector eigensystems of their chain, which must fit the size cap: N - 2
+    sites for "subchain", N for "fullchain".  beta = 0 gives the maximally
+    mixed medium exactly.
     """
     n = profile.n_sites
     if n < 3:
@@ -605,36 +586,35 @@ def thermal_medium(profile: CouplingProfile, beta: float,
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be a nonnegative real, got {beta}")
-    if variant == "subchain":
-        n_med = n - 2
-        if n_med == 1:
-            h = np.zeros((2, 2))
-        else:
-            h = dense_hamiltonian(CouplingProfile(n_med, profile.couplings[1:-1])).real
-        w, v = np.linalg.eigh(h)
-        weights = np.exp(-beta * (w - w[0]))
-        gibbs = (v * weights) @ v.conj().T
-        return DensityMatrix(n_med, gibbs / np.trace(gibbs))
-    if variant == "fullchain":
-        _check_cap(n)
-        blocks = _sector_eigh(n, profile.couplings)
-        ground = min(w[0] for _, w, _ in blocks)
-        n_med = n - 2
-        gibbs = np.zeros((2**n_med, 2**n_med))
-        for idx, w, v in blocks:
-            # the whole-chain state is block diagonal with these eigenvalues,
-            # so they alone certify its positivity
-            weights = np.exp(-beta * (w - ground))
-            if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-                raise InternalConsistencyError(
-                    f"full-chain Gibbs weights not finite and nonnegative at beta={beta}"
-                )
-            # trace out sites 1 and N: only rows sharing both end bits meet
-            ends = 2 * (idx >> (n - 1)) + (idx & 1)
-            interior = (idx >> 1) & (2**n_med - 1)
-            for end in range(4):
-                rows = ends == end
-                part = v[rows]
-                gibbs[np.ix_(interior[rows], interior[rows])] += (part * weights) @ part.T
-        return DensityMatrix(n_med, gibbs / np.trace(gibbs))
-    raise ValueError(f"unknown thermal variant {variant!r}")
+    if variant not in ("subchain", "fullchain"):
+        raise ValueError(f"unknown thermal variant {variant!r}")
+    n_med = n - 2
+    # number of sites traced out at each end of the chain the state is built on
+    traced = int(variant == "fullchain")
+    _check_cap(n_med + 2 * traced)
+    if traced:
+        # the chain the protocol evolves: share its cached eigensystems
+        blocks = _sector_eigh(profile)
+    elif n_med == 1:
+        return DensityMatrix.maximally_mixed(1)
+    else:
+        # uncached, so the one-chain cache keeps the protocol's chain
+        blocks = _eigensystems(CouplingProfile(n_med, profile.couplings[1:-1]))
+    ground = min(w[0] for _, w, _ in blocks)
+    gibbs = np.zeros((2**n_med, 2**n_med))
+    for idx, w, v in blocks:
+        # the Gibbs state is block diagonal with these eigenvalues,
+        # so they alone certify its positivity
+        weights = np.exp(-beta * (w - ground))
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+            raise InternalConsistencyError(
+                f"Gibbs weights not finite and nonnegative at beta={beta}"
+            )
+        # trace out sites 1 and N (fullchain): only rows sharing both end bits meet
+        ends = 2 * (idx >> (n_med + traced)) + (idx & traced)
+        interior = (idx >> traced) & (2**n_med - 1)
+        for end in range(4):
+            rows = ends == end
+            part = v[rows]
+            gibbs[np.ix_(interior[rows], interior[rows])] += (part * weights) @ part.T
+    return DensityMatrix(n_med, gibbs / np.trace(gibbs))

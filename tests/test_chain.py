@@ -12,6 +12,7 @@ from xxqst import (
     dense_hamiltonian,
     perfect_profile,
 )
+from xxqst.chain import sector_blocks
 
 import reference
 
@@ -141,6 +142,18 @@ def test_dense_hamiltonian_matches_reference(n, rng):
     theirs = reference.chain_hamiltonian(couplings)
     assert np.max(np.abs(ours - theirs)) < 1e-12
     assert np.max(np.abs(ours - ours.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_sector_blocks_partition_by_excitations(n):
+    seen = []
+    for k, (idx, block) in enumerate(sector_blocks(perfect_profile(n))):
+        assert all(bin(int(i)).count("1") == k for i in idx)
+        assert block.shape == (len(idx), len(idx))
+        assert np.array_equal(block, block.T)
+        seen.extend(idx.tolist())
+    assert k == n
+    assert sorted(seen) == list(range(2**n))
 
 
 def test_dense_agrees_with_action(rng):

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from xxqst import InternalConsistencyError, __version__
-from xxqst.cli import main, parse_time
+from xxqst.cli import build_parser, main, parse_time
+from xxqst.optimize import DEFAULT_ETA_RANGE, DEFAULT_T_RANGE
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +234,13 @@ def test_sweep_csv_and_best_point(tmp_path, capsys):
     assert len(lines) == 3 + 16 * 16
     surface_best = max(float(line.split(",")[2]) for line in lines[3:])
     assert best["estimate"] == pytest.approx(surface_best, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_search_defaults_come_from_the_library(command):
+    args = build_parser().parse_args([command, "--n", "5"])
+    assert (args.eta_min, args.eta_max) == DEFAULT_ETA_RANGE
+    assert (args.t_min, args.t_max) == DEFAULT_T_RANGE
 
 
 def test_optimize_command(capsys):

@@ -220,6 +220,19 @@ def test_sector_cache_holds_one_chain():
     assert _sector_eigh.cache_info().currsize == 1
 
 
+def test_thermal_medium_keeps_the_evolved_chain_cached():
+    # the exact protocol builds its medium between evolutions of one chain
+    from xxqst.oracle import _sector_eigh
+
+    profile = perfect_profile(6)
+    state = StateVector.basis(6, 5)
+    evolve(state, profile, 0.5)
+    thermal_medium(profile, 1.0)
+    misses = _sector_eigh.cache_info().misses
+    evolve(state, profile, 0.5)
+    assert _sector_eigh.cache_info().misses == misses
+
+
 def test_evolve_respects_cap(monkeypatch):
     monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
     assert oracle_cap() == 4
@@ -375,6 +388,14 @@ def test_measure_site_seeded_and_consistent():
     assert outcomes == {1, -1}
 
 
+@pytest.mark.parametrize("site", [0, 4])
+def test_measure_site_validates_site(site):
+    state = StateVector.from_bits("101")
+    for candidate in (state, state.density_matrix()):
+        with pytest.raises(ValueError, match="out of range"):
+            measure_site(candidate, site, seed=1)
+
+
 def test_reduced_state_product():
     plus = np.array([1, 1]) / math.sqrt(2)
     state = StateVector(2, np.kron([1, 0], plus).astype(complex))
@@ -495,6 +516,25 @@ def test_thermal_medium_fullchain_matches_reference(n):
         # trace out site 1 and site N
         theirs = np.einsum("iajibj->ab", full.reshape(2, dim, 2, 2, dim, 2))
         assert np.max(np.abs(ours - theirs)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_thermal_medium_subchain_matches_reference(n):
+    profile = perfect_profile(n)
+    interior = reference.chain_hamiltonian(profile.couplings[1:-1])
+    for beta in (0.0, 0.5, 3.0):
+        ours = thermal_medium(profile, beta, variant="subchain").matrix
+        assert np.max(np.abs(ours - reference.gibbs_state(interior, beta))) < 1e-10
+
+
+def test_thermal_medium_respects_cap(monkeypatch):
+    # the cap bounds the chain whose Gibbs state is built
+    monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
+    assert thermal_medium(perfect_profile(6), 1.0).n_sites == 4
+    with pytest.raises(ResourceLimitError):
+        thermal_medium(perfect_profile(7), 1.0)
+    with pytest.raises(ResourceLimitError):
+        thermal_medium(perfect_profile(5), 1.0, variant="fullchain")
 
 
 def test_thermal_medium_validation():

@@ -13,6 +13,7 @@ forward propagation under the reversed coupling profile.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,9 @@ class Propagator:
         return self._w.copy()
 
     def coefficients(self, t: float) -> np.ndarray:
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
         return self.coefficients_many(np.asarray([t], dtype=float))[0]
 
     def coefficients_many(self, times: np.ndarray) -> np.ndarray:

@@ -7,14 +7,18 @@ Site 1 occupies the most significant bit of a basis index, so |100...0>
 means an excitation on site 1.
 
 The admissible chain length is bounded by :func:`oracle_cap` (default 14,
-override with the ``XXQST_ORACLE_CAP`` environment variable).  The chain
-conserves total Z, so time evolution (:func:`evolve_columns`) and both
-thermal mediums diagonalize the magnetization-sector blocks of
-:func:`xxqst.chain.sector_blocks` one at a time and never form the 2**n x
-2**n Hamiltonian or propagator.
+override with the ``XXQST_ORACLE_CAP`` environment variable).  Dense
+work (density-matrix evolution and protocol runs) also stops at
+``DENSE_SITE_LIMIT`` = 12 sites, where a 2**n x 2**n density matrix holds
+256 MB; :func:`check_size` applies both bounds.  Dense operator
+conjugation stops at 8 sites.  The chain conserves total Z, so time
+evolution (:func:`evolve_columns`) and both thermal mediums diagonalize
+the magnetization-sector blocks of :func:`xxqst.chain.sector_blocks` one
+at a time and never form the 2**n x 2**n Hamiltonian or propagator.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -29,7 +33,9 @@ __all__ = [
     "DensityMatrix",
     "PauliString",
     "PROB_FLOOR",
+    "DENSE_SITE_LIMIT",
     "oracle_cap",
+    "check_size",
     "evolve",
     "evolve_columns",
     "conjugate_operator",
@@ -44,7 +50,8 @@ __all__ = [
 
 _ENV_CAP = "XXQST_ORACLE_CAP"
 _DEFAULT_CAP = 14
-_DM_SITE_LIMIT = 12    # density-matrix evolution memory bound
+# dense arrays: a 2**n x 2**n density matrix or the protocol's 2**n x 2**(n-1) factor
+DENSE_SITE_LIMIT = 12
 # outcomes and norms below this count as zero, here and in the protocol
 PROB_FLOOR = 1e-14
 
@@ -82,12 +89,19 @@ def oracle_cap() -> int:
     return cap
 
 
-def _check_cap(n: int) -> None:
+def check_size(n: int, dense: bool = False) -> None:
+    """Raise ResourceLimitError for a chain of n sites above the cap, or,
+    for dense work, above DENSE_SITE_LIMIT."""
     cap = oracle_cap()
     if n > cap:
         raise ResourceLimitError(
             f"chain of {n} sites exceeds the exact-engine cap of {cap} "
             f"(raise {_ENV_CAP} to override)"
+        )
+    if dense and n > DENSE_SITE_LIMIT:
+        raise ResourceLimitError(
+            f"dense work (density matrices, protocol runs) is limited to "
+            f"{DENSE_SITE_LIMIT} sites, got {n}"
         )
 
 
@@ -165,6 +179,8 @@ class DensityMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat.view(float))):
+            raise ValueError("matrix entries must be finite")
         tr = np.trace(mat)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"trace must be 1, got {tr!r}")
@@ -177,10 +193,6 @@ class DensityMatrix:
                 raise ValueError(f"matrix not positive: min eigenvalue {lo:.3e}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        return state.density_matrix()
 
     @classmethod
     def maximally_mixed(cls, n_sites: int) -> "DensityMatrix":
@@ -287,13 +299,15 @@ def evolve_columns(columns, profile: CouplingProfile, time: float) -> np.ndarray
     states with a fixed number of excitations evolves under its own real
     symmetric Hamiltonian and no 2**n x 2**n matrix is formed."""
     n = profile.n_sites
-    _check_cap(n)
+    check_size(n)
+    t = float(time)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     cols = np.asarray(columns, dtype=complex)
     if cols.shape[0] != 2**n:
         raise ValueError(f"expected {2**n} rows for {n} sites, got shape {cols.shape}")
     flat = cols.reshape(2**n, -1)
     out = np.zeros_like(flat)
-    t = float(time)
     for idx, w, v in _sector_eigh(profile):
         sub = np.ascontiguousarray(flat[idx])
         if not np.any(sub):
@@ -316,7 +330,7 @@ def evolve(state, profile: CouplingProfile, time: float):
 
     Accepts a StateVector or a DensityMatrix and returns the same type.
     Both go through :func:`evolve_columns`; density matrices are limited to
-    12 sites.
+    DENSE_SITE_LIMIT sites.
     """
     if not isinstance(state, (StateVector, DensityMatrix)):
         raise TypeError(f"cannot evolve {type(state).__name__}")
@@ -324,10 +338,7 @@ def evolve(state, profile: CouplingProfile, time: float):
         raise ValueError("state and profile disagree on the chain length")
     if isinstance(state, StateVector):
         return StateVector(state.n_sites, evolve_columns(state.amplitudes, profile, time))
-    if profile.n_sites > _DM_SITE_LIMIT:
-        raise ResourceLimitError(
-            f"density-matrix evolution limited to {_DM_SITE_LIMIT} sites"
-        )
+    check_size(profile.n_sites, dense=True)
     return DensityMatrix(state.n_sites, _sandwich(state.matrix, profile, time))
 
 
@@ -362,21 +373,12 @@ def string_basis(n: int, origin: str = "site1") -> tuple[PauliString, ...]:
     and X (odd k) or Y (even k) on site k.  The mirrored family (origin
     "siteN") is the site-reversed image.
     """
+    if origin not in ("site1", "siteN"):
+        raise ValueError(f"unknown origin {origin!r}")
     strings = []
     for k in range(1, n + 1):
-        letters = ["I"] * n
-        end_letter = "X" if k % 2 == 1 else "Y"
-        if origin == "site1":
-            for j in range(k - 1):
-                letters[j] = "Z"
-            letters[k - 1] = end_letter
-        elif origin == "siteN":
-            for j in range(n - k + 1, n):
-                letters[j] = "Z"
-            letters[n - k] = end_letter
-        else:
-            raise ValueError(f"unknown origin {origin!r}")
-        strings.append(PauliString(n, tuple(letters)))
+        letters = ("Z",) * (k - 1) + ("X" if k % 2 == 1 else "Y",) + ("I",) * (n - k)
+        strings.append(PauliString(n, letters if origin == "site1" else letters[::-1]))
     return tuple(strings)
 
 
@@ -421,7 +423,10 @@ def _measurement_ket(axis: str, outcome: int, phase: float | None) -> np.ndarray
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     if phase is not None:
-        return np.array([1.0, outcome * np.exp(1j * float(phase))]) / np.sqrt(2.0)
+        phase = float(phase)
+        if not math.isfinite(phase):
+            raise ValueError(f"phase must be finite, got {phase}")
+        return np.array([1.0, outcome * np.exp(1j * phase)]) / np.sqrt(2.0)
     axis = axis.lower()
     if axis == "z":
         return np.array([1.0, 0.0], dtype=complex) if outcome == 1 else np.array([0.0, 1.0], dtype=complex)
@@ -494,30 +499,21 @@ def measure_site(state, site: int, axis: str = "z", phase: float | None = None,
 
 def reduced_state(state, keep_sites) -> DensityMatrix:
     """Partial trace down to `keep_sites` (1-based, returned in site order)."""
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise TypeError(f"cannot reduce {type(state).__name__}")
+    n = state.n_sites
     keep = sorted(set(int(s) for s in keep_sites))
+    if not keep or keep[0] < 1 or keep[-1] > n:
+        raise ValueError(f"keep_sites out of range 1..{n}: {keep}")
+    # kept sites first, traced sites after
+    axes = [s - 1 for s in keep] + [i for i in range(n) if i + 1 not in keep]
+    kept_dim = 2 ** len(keep)
     if isinstance(state, StateVector):
-        n = state.n_sites
-        if not keep or keep[0] < 1 or keep[-1] > n:
-            raise ValueError(f"keep_sites out of range 1..{n}: {keep}")
-        axes = [s - 1 for s in keep] + [i for i in range(n) if i + 1 not in keep]
-        shaped = state.amplitudes.reshape((2,) * n).transpose(axes)
-        kept_dim = 2 ** len(keep)
-        flat = shaped.reshape(kept_dim, -1)
+        flat = state.amplitudes.reshape((2,) * n).transpose(axes).reshape(kept_dim, -1)
         return DensityMatrix(len(keep), flat @ flat.conj().T)
-    if isinstance(state, DensityMatrix):
-        n = state.n_sites
-        if not keep or keep[0] < 1 or keep[-1] > n:
-            raise ValueError(f"keep_sites out of range 1..{n}: {keep}")
-        current = state.matrix.reshape((2,) * (2 * n))
-        sites = list(range(1, n + 1))
-        while len(sites) > len(keep):
-            drop = next(s for s in sites if s not in keep)
-            pos = sites.index(drop)
-            current = np.trace(current, axis1=pos, axis2=pos + len(sites))
-            sites.pop(pos)
-        kept_dim = 2 ** len(keep)
-        return DensityMatrix(len(keep), current.reshape(kept_dim, kept_dim))
-    raise TypeError(f"cannot reduce {type(state).__name__}")
+    shaped = state.matrix.reshape((2,) * (2 * n)).transpose(axes + [n + a for a in axes])
+    shaped = shaped.reshape(kept_dim, -1, kept_dim, 2 ** (n - len(keep)))
+    return DensityMatrix(len(keep), np.einsum("ajbj->ab", shaped))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +587,7 @@ def thermal_medium(profile: CouplingProfile, beta: float,
     n_med = n - 2
     # number of sites traced out at each end of the chain the state is built on
     traced = int(variant == "fullchain")
-    _check_cap(n_med + 2 * traced)
+    check_size(n_med + 2 * traced)
     if traced:
         # the chain the protocol evolves: share its cached eigensystems
         blocks = _sector_eigh(profile)

@@ -17,16 +17,16 @@ from typing import Union
 import numpy as np
 
 from .chain import CouplingProfile
-from .errors import InternalConsistencyError, ResourceLimitError, ZeroProbabilityError
+from .errors import InternalConsistencyError, ZeroProbabilityError
 from .oracle import (
     PROB_FLOOR,
     DensityMatrix,
     PauliString,
     StateVector,
+    check_size,
     conjugate_operator,
     evolve_columns,
     fidelity,
-    oracle_cap,
     thermal_medium,
 )
 
@@ -48,8 +48,6 @@ __all__ = [
 
 REVIVAL_TIME = math.pi / 4
 
-# the factored chain state holds 2**n x 2**(n-1) amplitudes, 128 MB at 12 sites
-_SITE_LIMIT = 12
 _SQRT2 = math.sqrt(2.0)
 # exact powers of i, indexed by exponent mod 4
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -217,9 +215,8 @@ def _prepare(config: ProtocolConfig):
     rho = V diag(w) V^dagger, the probabilities of the site-N outcomes, and
     the seeded generator after its medium draw."""
     n = config.profile.n_sites
-    cap = min(oracle_cap(), _SITE_LIMIT)
-    if n > cap:
-        raise ResourceLimitError(f"protocol runs are limited to {cap} sites, got {n}")
+    # the factored chain state holds 2**n x 2**(n-1) amplitudes
+    check_size(n, dense=True)
     rng = np.random.default_rng(config.seed)
     in_cols, in_w = _factor(config.input_state)
     med_cols, med_w = _medium_factor(config, rng)

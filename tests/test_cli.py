@@ -286,6 +286,13 @@ def test_verify_fails_off_revival(capsys):
     assert "FAIL" in out
 
 
+def test_verify_non_finite_time_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "4", "--t", "nan", "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_verify_identity_alias(capsys):
     code, out, _ = run_cli(capsys, "identity", "--n", "4", "--no-timestamp")
     assert code == 0

@@ -141,6 +141,14 @@ def test_estimate_fidelity_values():
     assert estimate_fidelity(boundary_profile(5, 0.815), 1.92) > 0.999
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_time_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Propagator(build_generator(perfect_profile(4))).coefficients(bad)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_fidelity(perfect_profile(4), bad)
+
+
 def test_propagator_reusable_and_deterministic():
     prop = Propagator(build_generator(perfect_profile(6)))
     times = np.linspace(0, 2, 7)

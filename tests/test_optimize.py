@@ -161,6 +161,13 @@ def test_refine_validation():
         refine(5, (-0.2, 1.9))
 
 
+def test_refine_rejects_non_finite_start_time():
+    with pytest.raises(ValueError, match="finite"):
+        refine(5, (0.8, math.nan))
+    with pytest.raises(ValueError, match="finite"):
+        refine_time(perfect_profile(5), math.inf)
+
+
 def test_refine_time_recovers_revival():
     polish = refine_time(perfect_profile(5), 0.7, tolerance=1e-7)
     assert polish.time == pytest.approx(math.pi / 4, abs=1e-4)

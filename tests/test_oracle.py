@@ -24,6 +24,7 @@ from xxqst import (
     string_basis,
     thermal_medium,
 )
+from xxqst.oracle import DENSE_SITE_LIMIT, check_size, evolve_columns
 
 import reference
 
@@ -61,6 +62,16 @@ def test_density_matrix_validation(rng):
         DensityMatrix(1, np.array([[0.5, 0.5], [0.1, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(1, np.full((2, 2), bad))
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(1, mat)
 
 
 def test_density_matrix_helpers():
@@ -132,6 +143,8 @@ def test_string_basis_families():
     ]
     with pytest.raises(ValueError):
         string_basis(3, "middle")
+    with pytest.raises(ValueError):
+        string_basis(0, "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +254,38 @@ def test_evolve_respects_cap(monkeypatch):
     monkeypatch.setenv("XXQST_ORACLE_CAP", "bogus")
     with pytest.raises(ValueError):
         oracle_cap()
+
+
+def test_size_rule_separates_dense_work(monkeypatch):
+    monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
+    assert DENSE_SITE_LIMIT == 12
+    check_size(13)
+    check_size(DENSE_SITE_LIMIT, dense=True)
+    with pytest.raises(ResourceLimitError, match="limited to 12"):
+        check_size(13, dense=True)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        check_size(15)
+
+
+def test_size_rule_follows_a_lower_cap(monkeypatch):
+    monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
+    check_size(4, dense=True)
+    for dense in (False, True):
+        with pytest.raises(ResourceLimitError, match="cap of 4"):
+            check_size(5, dense=dense)
+    with pytest.raises(ResourceLimitError):
+        evolve(DensityMatrix.maximally_mixed(5), perfect_profile(5), 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolution_rejects_non_finite_time(bad):
+    profile = perfect_profile(3)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_columns(np.eye(8), profile, bad)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(DensityMatrix.maximally_mixed(3), profile, bad)
+    with pytest.raises(ValueError, match="finite"):
+        conjugate_operator(PauliString.single(3, 1, "X"), profile, bad)
 
 
 def test_evolve_mismatched_profile():
@@ -366,6 +411,12 @@ def test_project_validation():
         project_site(state, 1, outcome=0)
 
 
+@pytest.mark.parametrize("state", [StateVector.basis(2, 0), DensityMatrix.maximally_mixed(2)])
+def test_project_rejects_non_finite_phase(state):
+    with pytest.raises(ValueError, match="finite"):
+        project_site(state, 1, phase=float("nan"))
+
+
 def test_project_density_matrix_agrees_with_vector(rng):
     psi = reference.random_pure(rng, 3)
     state = StateVector(3, psi)
@@ -426,6 +477,12 @@ def test_reduced_state_dm_path_and_multi_site(rng):
         reduced_state(state, [])
     with pytest.raises(ValueError):
         reduced_state(state, [5])
+    wide = StateVector(5, reference.random_pure(rng, 5))
+    from_vec = reduced_state(wide, [1, 4, 5]).matrix
+    from_dm = reduced_state(wide.density_matrix(), [1, 4, 5]).matrix
+    assert np.max(np.abs(from_vec - from_dm)) < 1e-12
+    with pytest.raises(TypeError):
+        reduced_state(psi, [2])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from xxqst import (
     DensityMatrix,
     InternalConsistencyError,
     ProtocolConfig,
+    ResourceLimitError,
     StateVector,
     average_fidelity,
     axial_state,
@@ -315,6 +316,24 @@ def test_config_validation():
         )
     config = ProtocolConfig(perfect_profile(3), axial_state("0"))
     assert config.effective_time == pytest.approx(REVIVAL_TIME)
+
+
+def test_protocol_refuses_chains_past_the_dense_limit(monkeypatch):
+    # refused under the default cap of 14, before any eigensolve: the
+    # 13-site chain's would take about a second
+    monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
+    config = ProtocolConfig(perfect_profile(13), axial_state("+x"))
+    with pytest.raises(ResourceLimitError):
+        run_protocol_branches(config)
+    with pytest.raises(ResourceLimitError):
+        run_protocol(config)
+
+
+def test_protocol_follows_a_lower_cap(monkeypatch):
+    monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
+    assert len(run_protocol_branches(ProtocolConfig(perfect_profile(4), axial_state("0")))) > 0
+    with pytest.raises(ResourceLimitError):
+        run_protocol_branches(ProtocolConfig(perfect_profile(5), axial_state("0")))
 
 
 def test_one_sided_end_state_prunes_branches():

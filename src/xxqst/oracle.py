@@ -8,17 +8,21 @@ means an excitation on site 1.
 
 The admissible chain length is bounded by :func:`oracle_cap` (default 14,
 override with the ``XXQST_ORACLE_CAP`` environment variable).  Dense
-work (density-matrix evolution and protocol runs) also stops at
-``DENSE_SITE_LIMIT`` = 12 sites, where a 2**n x 2**n density matrix holds
-256 MB; :func:`check_size` applies both bounds.  Dense operator
-conjugation stops at 8 sites.  The chain conserves total Z, so time
-evolution (:func:`evolve_columns`) and both thermal mediums diagonalize
-the magnetization-sector blocks of :func:`xxqst.chain.sector_blocks` one
-at a time and never form the 2**n x 2**n Hamiltonian or propagator.
+work (density-matrix evolution, protocol runs and the 2**(N-2) square
+thermal mediums) also stops at ``DENSE_SITE_LIMIT`` = 12 sites, where a
+2**n x 2**n density matrix holds 256 MB; :func:`check_size` applies both
+bounds.  Dense operator conjugation stops at 8 sites.  The chain
+conserves total Z, so time evolution (:func:`evolve_columns`) and both
+thermal mediums diagonalize the magnetization-sector blocks of
+:func:`xxqst.chain.sector_blocks` one at a time and never form the
+2**n x 2**n Hamiltonian or propagator.  :func:`thermal_factor` hands a
+thermal medium to the protocol as columns and weights, diagonalized one
+interior-magnetization block at a time.
 """
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -46,6 +50,7 @@ __all__ = [
     "reduced_state",
     "fidelity",
     "thermal_medium",
+    "thermal_factor",
 ]
 
 _ENV_CAP = "XXQST_ORACLE_CAP"
@@ -502,7 +507,7 @@ def reduced_state(state, keep_sites) -> DensityMatrix:
     if not isinstance(state, (StateVector, DensityMatrix)):
         raise TypeError(f"cannot reduce {type(state).__name__}")
     n = state.n_sites
-    keep = sorted(set(int(s) for s in keep_sites))
+    keep = sorted(set(operator.index(s) for s in keep_sites))
     if not keep or keep[0] < 1 or keep[-1] > n:
         raise ValueError(f"keep_sites out of range 1..{n}: {keep}")
     # kept sites first, traced sites after
@@ -565,17 +570,8 @@ def fidelity(a, b) -> float:
     return float(np.sum(singulars) ** 2)
 
 
-def thermal_medium(profile: CouplingProfile, beta: float,
-                   variant: str = "subchain") -> DensityMatrix:
-    """Gibbs state of the interior sites 2..N-1 at inverse temperature beta.
-
-    "subchain" (default) takes exp(-beta H_med)/Z for the interior chain
-    with couplings J_2..J_{N-2}; "fullchain" reduces the Gibbs state of the
-    whole chain to the interior.  Both are built from the magnetization-
-    sector eigensystems of their chain, which must fit the size cap: N - 2
-    sites for "subchain", N for "fullchain".  beta = 0 gives the maximally
-    mixed medium exactly.
-    """
+def _gibbs_matrix(profile: CouplingProfile, beta: float, variant: str) -> np.ndarray:
+    """Normalized real Gibbs matrix of the interior sites; see thermal_medium."""
     n = profile.n_sites
     if n < 3:
         raise ValueError(f"thermal medium needs n >= 3, got {n}")
@@ -587,12 +583,14 @@ def thermal_medium(profile: CouplingProfile, beta: float,
     n_med = n - 2
     # number of sites traced out at each end of the chain the state is built on
     traced = int(variant == "fullchain")
+    # the medium itself is a dense 2**(N-2) x 2**(N-2) matrix
+    check_size(n_med, dense=True)
     check_size(n_med + 2 * traced)
     if traced:
         # the chain the protocol evolves: share its cached eigensystems
         blocks = _sector_eigh(profile)
     elif n_med == 1:
-        return DensityMatrix.maximally_mixed(1)
+        return np.eye(2) / 2.0
     else:
         # uncached, so the one-chain cache keeps the protocol's chain
         blocks = _eigensystems(CouplingProfile(n_med, profile.couplings[1:-1]))
@@ -613,4 +611,59 @@ def thermal_medium(profile: CouplingProfile, beta: float,
             rows = ends == end
             part = v[rows]
             gibbs[np.ix_(interior[rows], interior[rows])] += (part * weights) @ part.T
-    return DensityMatrix(n_med, gibbs / np.trace(gibbs))
+    return gibbs / np.trace(gibbs)
+
+
+def thermal_medium(profile: CouplingProfile, beta: float,
+                   variant: str = "subchain") -> DensityMatrix:
+    """Gibbs state of the interior sites 2..N-1 at inverse temperature beta.
+
+    "subchain" (default) takes exp(-beta H_med)/Z for the interior chain
+    with couplings J_2..J_{N-2}; "fullchain" reduces the Gibbs state of the
+    whole chain to the interior.  Both are built from the magnetization-
+    sector eigensystems of their chain, which must fit the size cap: N - 2
+    sites for "subchain", N for "fullchain".  The N - 2 site medium must
+    also fit DENSE_SITE_LIMIT.  beta = 0 gives the maximally mixed medium
+    exactly.
+    """
+    return DensityMatrix(profile.n_sites - 2, _gibbs_matrix(profile, beta, variant))
+
+
+def thermal_factor(profile: CouplingProfile, beta: float,
+                   variant: str = "subchain") -> tuple[np.ndarray, np.ndarray]:
+    """The thermal medium as real orthonormal columns V and weights w with
+    V diag(w) V^T equal to ``thermal_medium(profile, beta, variant).matrix``.
+
+    The Gibbs state commutes with total Z, so it is block diagonal over the
+    interior magnetization and each block is diagonalized on its own.  The
+    weights are its eigenvalues, kept as computed, under the bounds
+    DensityMatrix applies: a block asymmetry above 1e-12, a weight below
+    -1e-10 or a weight sum off 1 by more than 1e-10 raises
+    InternalConsistencyError.
+    """
+    gibbs = _gibbs_matrix(profile, beta, variant)
+    n_med = profile.n_sites - 2
+    occ = np.bitwise_count(np.arange(2**n_med))
+    columns = np.zeros_like(gibbs)
+    weights = np.empty(2**n_med)
+    start = 0
+    for k in range(n_med + 1):
+        idx = np.flatnonzero(occ == k)
+        block = gibbs[np.ix_(idx, idx)]
+        # eigh reads one triangle only, so an asymmetry would go unseen
+        asym = float(np.max(np.abs(block - block.T)))
+        if asym > 1e-12:
+            raise InternalConsistencyError(
+                f"Gibbs block with {k} excitations not symmetric: deviation {asym:.3e}"
+            )
+        stop = start + len(idx)
+        weights[start:stop], columns[idx, start:stop] = np.linalg.eigh(block)
+        start = stop
+    lo, total = float(np.min(weights)), float(np.sum(weights))
+    # phrased so that a NaN or infinite weight fails too
+    if not (lo >= -1e-10 and abs(total - 1.0) <= 1e-10):
+        raise InternalConsistencyError(
+            f"Gibbs weights out of bounds: min {lo:.3e} (bound -1e-10), "
+            f"sum {total!r} (bound 1 +- 1e-10)"
+        )
+    return columns, weights

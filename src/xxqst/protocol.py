@@ -7,6 +7,10 @@ evolve, X-measure site 1, then undo a known single-qubit frame on site N
 conditioned on the product of the two outcomes.  For the perfect coupling
 profile at its revival time the output equals the input on every outcome
 branch and for every medium state.
+
+The chain state is carried as columns and weights, never as a density
+matrix; a thermal medium enters as the sector factor of
+:func:`xxqst.oracle.thermal_factor`.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .oracle import (
     conjugate_operator,
     evolve_columns,
     fidelity,
-    thermal_medium,
+    thermal_factor,
 )
 
 __all__ = [
@@ -84,9 +88,7 @@ def _factor(state) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(state, StateVector):
         return state.amplitudes[:, None], np.ones(1)
     if isinstance(state, DensityMatrix):
-        mat = state.matrix
-        # a real matrix (a Gibbs state, say) diagonalizes four times faster as such
-        w, v = np.linalg.eigh(mat if np.any(mat.imag) else mat.real)
+        w, v = np.linalg.eigh(state.matrix)
         return v, w
     raise TypeError(f"expected StateVector or DensityMatrix, got {type(state).__name__}")
 
@@ -187,6 +189,12 @@ class ProtocolResult:
         }
 
 
+def _random_pure(rng: np.random.Generator, n_sites: int) -> StateVector:
+    """Normalized complex Gaussian vector: a uniformly random pure state."""
+    dim = 2**n_sites
+    return StateVector.normalized(n_sites, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
 def _medium_factor(config: ProtocolConfig, rng: np.random.Generator):
     n = config.profile.n_sites
     if n == 2:
@@ -198,10 +206,9 @@ def _medium_factor(config: ProtocolConfig, rng: np.random.Generator):
     if kind == "mixed":
         return np.eye(dim, dtype=complex), np.full(dim, 1.0 / dim)
     if kind == "random":
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return _factor(StateVector.normalized(n - 2, psi))
+        return _factor(_random_pure(rng, n - 2))
     if kind == "thermal":
-        return _factor(thermal_medium(config.profile, beta, config.thermal_variant))
+        return thermal_factor(config.profile, beta, config.thermal_variant)
     return _factor(explicit)
 
 
@@ -362,20 +369,13 @@ def average_fidelity(
     else:
         if n_input_samples < 1:
             raise ValueError("n_input_samples must be >= 1")
-        input_states = []
-        for _ in range(n_input_samples):
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            input_states.append(StateVector.normalized(1, psi))
+        input_states = [_random_pure(rng, 1) for _ in range(n_input_samples)]
 
     kind, beta, _ = _parse_medium(medium)
     if kind == "random" and profile.n_sites > 2:
         if n_medium_samples < 1:
             raise ValueError("n_medium_samples must be >= 1")
-        dim = 2 ** (profile.n_sites - 2)
-        mediums = []
-        for _ in range(n_medium_samples):
-            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            mediums.append(StateVector.normalized(profile.n_sites - 2, psi))
+        mediums = [_random_pure(rng, profile.n_sites - 2) for _ in range(n_medium_samples)]
     else:
         mediums = [medium]
 

@@ -24,7 +24,9 @@ from xxqst import (
     string_basis,
     thermal_medium,
 )
-from xxqst.oracle import DENSE_SITE_LIMIT, check_size, evolve_columns
+from xxqst import oracle
+from xxqst.errors import InternalConsistencyError
+from xxqst.oracle import DENSE_SITE_LIMIT, check_size, evolve_columns, thermal_factor
 
 import reference
 
@@ -265,6 +267,11 @@ def test_size_rule_separates_dense_work(monkeypatch):
         check_size(13, dense=True)
     with pytest.raises(ResourceLimitError, match="cap"):
         check_size(15)
+    # a 13-site medium fits the cap but is dense: refused before any eigensolve
+    monkeypatch.setattr(oracle, "_eigensystems", None)
+    for medium in (thermal_medium, thermal_factor):
+        with pytest.raises(ResourceLimitError, match="limited to 12"):
+            medium(perfect_profile(15), 1.0)
 
 
 def test_size_rule_follows_a_lower_cap(monkeypatch):
@@ -483,6 +490,10 @@ def test_reduced_state_dm_path_and_multi_site(rng):
     assert np.max(np.abs(from_vec - from_dm)) < 1e-12
     with pytest.raises(TypeError):
         reduced_state(psi, [2])
+    with pytest.raises(TypeError):
+        reduced_state(StateVector.from_bits("10"), [1.7])
+    from_numpy = reduced_state(wide, np.array([1, 4, 5])).matrix
+    assert np.max(np.abs(from_vec - from_numpy)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +593,42 @@ def test_thermal_medium_subchain_matches_reference(n):
     for beta in (0.0, 0.5, 3.0):
         ours = thermal_medium(profile, beta, variant="subchain").matrix
         assert np.max(np.abs(ours - reference.gibbs_state(interior, beta))) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_thermal_factor_rebuilds_the_medium(n):
+    profile = perfect_profile(n)
+    for variant in ("subchain", "fullchain"):
+        for beta in (0.0, 0.5, 3.0):
+            columns, weights = thermal_factor(profile, beta, variant)
+            medium = thermal_medium(profile, beta, variant).matrix
+            assert np.max(np.abs((columns * weights) @ columns.T - medium)) < 1e-14
+            assert np.max(np.abs(columns.T @ columns - np.eye(len(weights)))) < 1e-14
+            assert abs(np.sum(weights) - 1.0) < 1e-14
+
+
+def _entries(*items):
+    """4 x 4 matrix holding the given (row, column, value) entries."""
+    out = np.zeros((4, 4))
+    for i, j, value in items:
+        out[i, j] = value
+    return out
+
+
+@pytest.mark.parametrize("delta, message", [
+    # a weight below -1e-10 at an unchanged sum
+    (_entries((0, 0, -2e-10), (3, 3, 2e-10)), "out of bounds"),
+    (_entries((0, 0, math.nan)), "out of bounds"),
+    (_entries((3, 3, 1e-9)), "out of bounds"),
+    # eigh reads one triangle, so this would otherwise vanish unseen
+    (_entries((1, 2, 1e-11)), "symmetric"),
+])
+def test_thermal_factor_certifies_its_weights(monkeypatch, delta, message):
+    # at beta = 50 only the one-excitation ground state carries weight
+    gibbs = oracle._gibbs_matrix(perfect_profile(4), 50.0, "subchain")
+    monkeypatch.setattr(oracle, "_gibbs_matrix", lambda *args: gibbs + delta)
+    with pytest.raises(InternalConsistencyError, match=message):
+        thermal_factor(perfect_profile(4), 50.0)
 
 
 def test_thermal_medium_respects_cap(monkeypatch):

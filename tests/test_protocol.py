@@ -116,12 +116,15 @@ def test_mixed_input_state():
     (4, 1.9, "mixed"),
     (5, REVIVAL_TIME, "random"),
     (4, 0.45, "thermal"),
+    (4, 0.45, "thermal-subchain"),
+    (4, 1.9, "thermal-fullchain"),
 ])
 def test_branches_match_reference(rng, n, t, medium_kind):
     profile = perfect_profile(n) if n % 2 else boundary_profile(n, 0.815)
     rho_in = reference.random_mixed(rng, 1)
 
     interior = 2 ** (n - 2)
+    variant = "subchain"
     if medium_kind == "zero":
         medium = np.zeros((interior, interior), dtype=complex)
         medium[0, 0] = 1.0
@@ -133,12 +136,22 @@ def test_branches_match_reference(rng, n, t, medium_kind):
         psi = reference.random_pure(rng, n - 2)
         medium = np.outer(psi, psi.conj())
         spec = DensityMatrix(n - 2, medium)
-    else:
+    elif medium_kind == "thermal":
         medium = thermal_medium(profile, 1.0).matrix
         spec = DensityMatrix(n - 2, medium)
+    else:
+        # the spec form: the protocol builds and factors the medium itself
+        variant = medium_kind.split("-")[1]
+        spec = "thermal:1.0"
+        if variant == "subchain":
+            medium = reference.gibbs_state(reference.chain_hamiltonian(profile.couplings[1:-1]), 1.0)
+        else:
+            full = reference.gibbs_state(reference.chain_hamiltonian(profile.couplings), 1.0)
+            medium = np.einsum("iajibj->ab", full.reshape(2, interior, 2, 2, interior, 2))
 
     config = ProtocolConfig(
         profile, DensityMatrix(1, rho_in), medium=spec, evolution_time=t,
+        thermal_variant=variant,
     )
     ours = branch_map(run_protocol_branches(config))
     theirs = {

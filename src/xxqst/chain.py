@@ -7,6 +7,7 @@ Units are fixed by the uniform-coupling scale, so times are dimensionless.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -40,7 +41,7 @@ class CouplingProfile:
             raise ValueError(
                 f"expected {self.n_sites - 1} couplings, got {len(couplings)}"
             )
-        if any(not np.isfinite(c) for c in couplings):
+        if not all(map(math.isfinite, couplings)):
             raise ValueError("couplings must be finite reals")
         object.__setattr__(self, "couplings", couplings)
 
@@ -109,6 +110,8 @@ class Generator:
             raise ValueError(
                 f"expected {self.dimension - 1} subdiagonal entries, got {len(sub)}"
             )
+        if not all(map(math.isfinite, sub)):
+            raise ValueError("subdiagonal entries must be finite reals")
         object.__setattr__(self, "subdiagonal", sub)
 
     def matrix(self) -> np.ndarray:

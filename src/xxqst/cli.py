@@ -18,6 +18,9 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import __version__
 from .chain import CouplingProfile, boundary_profile, perfect_profile
@@ -98,12 +101,23 @@ def _metadata_lines(args, config: dict) -> list[str]:
     return lines
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str, rows: Iterable[str] = ()) -> None:
+    """Write text and then each of rows, streamed, to --out or stdout."""
     if args.out in (None, "-"):
         sys.stdout.write(text)
+        sys.stdout.writelines(rows)
     else:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
+            fh.writelines(rows)
+
+
+def _csv_rows(first: np.ndarray, table: np.ndarray) -> Iterator[str]:
+    """CSV lines first[i], table[i, 0], table[i, 1], ..., each value as
+    ``_fmt`` writes it, built one row at a time with a single format."""
+    line = ",".join(["%.17g"] * (table.shape[1] + 1)) + "\n"
+    for x, row in zip(first, table):
+        yield line % (x, *row.tolist())
 
 
 def _json_document(args, config: dict, payload: dict) -> str:
@@ -131,9 +145,7 @@ def _cmd_coefficients(args) -> int:
     n = profile.n_sites
     lines = _metadata_lines(args, config)
     lines.append("t," + ",".join(f"alpha_{i}" for i in range(1, n + 1)))
-    for t, row in zip(trace.times, trace.values):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n", _csv_rows(trace.times, trace.values))
     return 0
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
 from .chain import CouplingProfile, Generator, build_generator
 from .errors import InternalConsistencyError
@@ -85,11 +85,19 @@ class Propagator:
     def __init__(self, generator: Generator):
         self.generator = generator
         n = generator.dimension
-        w, v = eigh_tridiagonal(np.zeros(n), np.asarray(generator.subdiagonal))
+        # the driver eigh_tridiagonal picks for all eigenpairs, without its
+        # wrapper; Generator has already checked the subdiagonal is finite
+        w, v, info = dstevd(np.zeros(n), np.asarray(generator.subdiagonal))
+        if info != 0:
+            raise InternalConsistencyError(f"tridiagonal eigensolver dstevd returned info={info}")
         self._w = w
         self._v = v
         self._c0 = v[0, :].copy()
-        self._zeta = np.where(np.arange(n) % 2 == 0, 1.0 + 0.0j, 1.0j)
+        self._zeta = np.ones(n, dtype=complex)
+        self._zeta[1::2] = 1j
+        # alpha_N(t) = exp(t _phase) @ _end, the last row of coefficients_many
+        self._phase = -1j * w
+        self._end = self._zeta[-1] * v[-1, :] * self._c0
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -113,6 +121,28 @@ class Propagator:
                 f"coefficients acquired imaginary residue {residue:.3e}"
             )
         return np.ascontiguousarray(raw.real.T)
+
+    def end_weights(self, times):
+        """alpha_N(t)^2, the square of the last coefficient, in O(N) per time:
+        a float for a scalar time, an array for a 1-D array of times."""
+        if np.ndim(times) == 0:
+            # one probe time, the search's hot path: no array reductions
+            t = float(times)
+            if not math.isfinite(t):
+                raise ValueError(f"time must be finite, got {t}")
+            raw = complex(np.exp(t * self._phase) @ self._end)
+            residue = abs(raw.imag)
+        else:
+            t = np.asarray(times, dtype=float)
+            if not np.isfinite(t).all():
+                raise ValueError(f"times must be finite, got {t}")
+            raw = np.exp(np.multiply.outer(t, self._phase)) @ self._end
+            residue = float(np.abs(raw.imag).max(initial=0.0))
+        if residue > _IMAG_TOL:
+            raise InternalConsistencyError(
+                f"end amplitude acquired imaginary residue {residue:.3e}"
+            )
+        return raw.real**2
 
 
 def propagate(generator: Generator, time: float) -> CoefficientVector:
@@ -157,5 +187,4 @@ def estimate_fidelity(profile: CouplingProfile, time: float) -> float:
     """Transfer estimate alpha_N(t)^2, the weight of the fully transferred
     string in X_1(t).  Equals the exact transfer fidelity only at perfect
     revival; elsewhere it is the quantity the profile search optimises."""
-    values = Propagator(build_generator(profile)).coefficients(float(time))
-    return float(values[-1] ** 2)
+    return Propagator(build_generator(profile)).end_weights(float(time))

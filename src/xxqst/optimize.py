@@ -138,8 +138,7 @@ def sweep(
     surface = np.empty((res_eta, res_t))
     for i, eta in enumerate(eta_values):
         prop = Propagator(build_generator(boundary_profile(n, float(eta))))
-        rows = prop.coefficients_many(t_values)
-        surface[i] = rows[:, -1] ** 2
+        surface[i] = prop.end_weights(t_values)
     best = float(surface.max())
     ties = np.argwhere(surface == best)
     # lexicographic (t index, eta index): smaller t wins, then smaller eta
@@ -254,10 +253,7 @@ def refine_time(
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     prop = Propagator(build_generator(profile))
-    path, converged = _climb(
-        lambda x: float(prop.coefficients(x)[-1] ** 2), float(start_time),
-        window, tolerance / 4.0,
-    )
+    path, converged = _climb(prop.end_weights, float(start_time), window, tolerance / 4.0)
     t, value = path[-1]
     return RefineResult(
         n_sites=profile.n_sites, eta=math.nan, time=float(t),

@@ -88,7 +88,10 @@ def _factor(state) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(state, StateVector):
         return state.amplitudes[:, None], np.ones(1)
     if isinstance(state, DensityMatrix):
-        w, v = np.linalg.eigh(state.matrix)
+        mat = state.matrix
+        # a real Hermitian matrix (a Gibbs state, say) is symmetric: the real
+        # eigh is 4-5x cheaper at 1024 x 1024
+        w, v = np.linalg.eigh(mat if np.any(mat.imag) else mat.real)
         return v, w
     raise TypeError(f"expected StateVector or DensityMatrix, got {type(state).__name__}")
 

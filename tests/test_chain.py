@@ -6,6 +6,7 @@ import pytest
 
 from xxqst import (
     CouplingProfile,
+    Generator,
     boundary_profile,
     build_generator,
     build_hamiltonian_action,
@@ -52,6 +53,16 @@ def test_profile_validation():
         CouplingProfile(4, (1.0, 2.0))
     with pytest.raises(ValueError):
         CouplingProfile(3, (1.0, math.inf))
+    with pytest.raises(ValueError):
+        CouplingProfile(3, (math.nan, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_generator_rejects_non_finite_rates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Generator(3, (bad, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        Generator(4, (1.0, 2.0, bad))
 
 
 def test_profile_reversal_and_json():

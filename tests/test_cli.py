@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from xxqst import InternalConsistencyError, __version__
-from xxqst.cli import build_parser, main, parse_time
+from xxqst.cli import _csv_rows, _fmt, build_parser, main, parse_time
 from xxqst.optimize import DEFAULT_ETA_RANGE, DEFAULT_T_RANGE
 
 
@@ -103,6 +104,17 @@ def test_coefficients_perfect_chain_endpoint(capsys):
     assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
     assert float(last[0]) == pytest.approx(math.pi / 4, abs=1e-15)
     assert abs(float(last[-1])) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_csv_row_format_matches_per_value_format():
+    edge = [0.0, -0.0, 5e-324, 1e-5, 0.1, 1e16, 1e17, 1.0, -1.0]
+    first = np.array(edge)
+    table = np.array([np.roll(edge, k) for k in range(len(edge))])
+    rows = list(_csv_rows(first, table))
+    assert rows == [
+        ",".join(_fmt(v) for v in [x, *row]) + "\n" for x, row in zip(first, table)
+    ]
+    assert rows[0].startswith("0,0,-0,4.9406564584124654e-324,1.0000000000000001e-05,")
 
 
 def test_coefficients_config_records_profile(capsys):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from xxqst import (
     CouplingProfile,
+    InternalConsistencyError,
     Propagator,
     boundary_profile,
     build_generator,
@@ -147,6 +148,49 @@ def test_non_finite_time_rejected(bad):
         Propagator(build_generator(perfect_profile(4))).coefficients(bad)
     with pytest.raises(ValueError, match="finite"):
         estimate_fidelity(perfect_profile(4), bad)
+    prop = Propagator(build_generator(perfect_profile(4)))
+    for times in (bad, np.array([0.3, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            prop.end_weights(times)
+
+
+def test_end_weights_match_last_coefficient(rng):
+    # odd N puts a zero mode in the spectrum
+    times = np.concatenate(([0.0], rng.uniform(-4.0, 4.0, 16)))
+    for n in range(2, 65):
+        prop = Propagator(build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))))
+        expected = prop.coefficients_many(times)[:, -1] ** 2
+        weights = prop.end_weights(times)
+        assert weights.shape == times.shape
+        assert np.max(np.abs(weights - expected)) <= 1e-15
+        for t, value in zip(times, expected):
+            one = prop.end_weights(t)
+            assert isinstance(one, float)
+            assert abs(one - value) <= 1e-15
+
+
+def test_tridiagonal_solve_matches_eigh_tridiagonal(rng):
+    # eigh_tridiagonal runs the same LAPACK driver, stevd, for all eigenpairs
+    for profile in (perfect_profile(5), boundary_profile(12, 0.7),
+                    CouplingProfile(9, tuple(rng.random(8) + 0.2))):
+        gen = build_generator(profile)
+        w, v = eigh_tridiagonal(np.zeros(gen.dimension), np.asarray(gen.subdiagonal))
+        prop = Propagator(gen)
+        assert np.array_equal(prop.eigenvalues, w)
+        assert np.array_equal(prop._v, v)
+
+
+def test_residue_check_fires_on_a_broken_phase_convention(monkeypatch):
+    prop = Propagator(build_generator(perfect_profile(6)))
+    times = np.linspace(0.1, 1.0, 5)
+    # zeta = 1 everywhere drops the factor i of the even-numbered strings
+    monkeypatch.setattr(prop, "_zeta", np.ones(6, dtype=complex))
+    with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+        prop.coefficients_many(times)
+    monkeypatch.setattr(prop, "_end", 1j * prop._end)
+    for t in (0.4, times):
+        with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+            prop.end_weights(t)
 
 
 def test_propagator_reusable_and_deterministic():

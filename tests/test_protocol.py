@@ -17,6 +17,7 @@ from xxqst import (
     bloch_state,
     boundary_profile,
     perfect_profile,
+    protocol,
     run_protocol,
     run_protocol_branches,
     thermal_medium,
@@ -188,6 +189,37 @@ def test_explicit_medium_with_negative_roundoff_eigenvalue(rng):
     for a, b, prob, rho_out in theirs:
         assert abs(ours[(a, b)].probability - prob) < 1e-12
         assert np.max(np.abs(ours[(a, b)].output_state.matrix - rho_out)) < 1e-12
+
+
+def test_explicit_real_medium_takes_the_real_eigensolve(rng, monkeypatch):
+    n, t = 6, 1.3
+    profile = boundary_profile(n, 0.815)
+    gibbs = reference.gibbs_state(reference.chain_hamiltonian(profile.couplings[1:-1]), 0.7)
+    medium = DensityMatrix(n - 2, gibbs)
+    assert np.isrealobj(protocol._factor(medium)[0])
+    rho_in = reference.random_mixed(rng, 1)
+    config = ProtocolConfig(profile, DensityMatrix(1, rho_in), medium=medium, evolution_time=t)
+    ours = branch_map(run_protocol_branches(config))
+    theirs = reference.protocol_branches(profile.couplings, t, rho_in, gibbs)
+    assert set(ours) == {(a, b) for a, b, _, _ in theirs}
+    for a, b, prob, rho_out in theirs:
+        assert abs(ours[(a, b)].probability - prob) < 1e-10
+        assert np.max(np.abs(ours[(a, b)].output_state.matrix - rho_out)) < 1e-10
+
+    real_factor = protocol._factor
+
+    def complex_factor(state):
+        if isinstance(state, DensityMatrix):
+            w, v = np.linalg.eigh(state.matrix)
+            return v, w
+        return real_factor(state)
+
+    monkeypatch.setattr(protocol, "_factor", complex_factor)
+    on_complex = branch_map(run_protocol_branches(config))
+    assert set(on_complex) == set(ours)
+    for key, branch in ours.items():
+        assert abs(branch.probability - on_complex[key].probability) < 1e-12
+        assert np.max(np.abs(branch.output_state.matrix - on_complex[key].output_state.matrix)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [11, 12])

@@ -6,7 +6,8 @@ Layers, from cheap to exact:
 - chain: coupling profiles, the chain Hamiltonian and the coefficient
   evolution generator.
 - heisenberg: polynomial-cost propagation of evolved end-site operator
-  coefficients.
+  coefficients, and the end-site expectations behind the exact protocol
+  on Gaussian mediums (Wick's theorem, batched Pfaffians).
 - oracle: full 2**n reference engine (states, measurements, fidelity).
 - protocol: the initialization-free transfer protocol, exact on small
   chains, plus its operator-identity checks.

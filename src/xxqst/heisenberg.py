@@ -10,11 +10,20 @@ with real coefficients alpha_k(t) obeying a linear first-order system whose
 generator is the staggered antisymmetric matrix of ``chain.Generator``.  The
 mirrored family propagates X_N through the site-reversed strings and equals
 forward propagation under the reversed coupling profile.
+
+The chain is a free-fermion model, and the same tridiagonal eigensystem
+gives the exact transfer protocol on Gaussian mediums (all-zero,
+maximally mixed, thermal) in polynomial time: :func:`gaussian_end_expectations`
+evaluates the end-site expectations the protocol needs with Wick's theorem,
+one batched :func:`pfaffian` pass for all of them (Terhal & DiVincenzo,
+PRA 65, 032325 (2002); Bravyi, QIC 5, 216 (2005)).  The 2**n oracle is
+only needed for mediums that are not Gaussian.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dstevd
@@ -30,6 +39,8 @@ __all__ = [
     "mirror_propagate",
     "coefficient_trace",
     "estimate_fidelity",
+    "pfaffian",
+    "gaussian_end_expectations",
 ]
 
 _IMAG_TOL = 1e-12
@@ -143,6 +154,181 @@ class Propagator:
                 f"end amplitude acquired imaginary residue {residue:.3e}"
             )
         return raw.real**2
+
+    def thermal_correlation(self, beta: float) -> np.ndarray:
+        """<a_i^dag a_j> in the Gibbs state exp(-beta H)/Z of this chain, a_j
+        the Jordan-Wigner fermion of site j: V diag(f) V^T with the Fermi
+        occupations f = (1 - tanh(beta w / 2)) / 2, which cannot overflow."""
+        occupations = (1.0 - np.tanh(0.5 * float(beta) * self._w)) / 2.0
+        return (self._v * occupations) @ self._v.T
+
+
+def pfaffian(matrices) -> np.ndarray:
+    """Pfaffians of a stack of antisymmetric matrices of even size, shape
+    (..., m, m).
+
+    Parlett-Reid elimination with partial pivoting, one pass for the whole
+    stack: each step swaps the largest entry below the diagonal of column k
+    into row k + 1 and eliminates with it, O(m^3) per matrix.  A pivot
+    column of zeros makes that Pfaffian exactly 0.
+    """
+    a = np.array(matrices, dtype=complex)
+    shape, m = a.shape[:-2], a.shape[-1]
+    if a.shape[-2] != m or m % 2:
+        raise ValueError(f"expected square matrices of even size, got shape {a.shape}")
+    a = a.reshape(-1, m, m)
+    stack = np.arange(len(a))
+    pf = np.ones(len(a), dtype=complex)
+    for k in range(0, m - 1, 2):
+        piv = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+        pf[piv != k + 1] *= -1.0
+        rows = a[stack, piv].copy()
+        a[stack, piv] = a[:, k + 1]
+        a[:, k + 1] = rows
+        cols = a[stack, :, piv].copy()
+        a[stack, :, piv] = a[:, :, k + 1]
+        a[:, :, k + 1] = cols
+        pivot = a[:, k, k + 1]
+        pf *= pivot
+        # a zero pivot has zeroed pf; divide by 1 so the stack stays finite
+        tau = a[:, k, k + 2:] / np.where(pivot == 0, 1.0, pivot)[:, None]
+        col = a[:, k + 2:, k + 1]
+        a[:, k + 2:, k + 2:] += tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
+    return pf.reshape(shape)
+
+
+# Majorana frame, site 1 first: gamma_{2j-1} = a_j + a_j^dag and
+# gamma_{2j} = i (a_j^dag - a_j).  Then X_1 = gamma_1, Y_1 = gamma_2,
+# Z_1 = -i gamma_1 gamma_2, and at the far end X_N = i P gamma_{2N} and
+# Y_N = -i P gamma_{2N-1}, where the parity P = prod_j Z_j
+# = (-i)^N gamma_1 ... gamma_{2N} commutes with H.  A product is written as
+# (coefficient, factors); a factor is "P" or one of the linear forms
+#   "g1", "gO", "gE"  gamma_1(t), gamma_{2N-1}(t), gamma_{2N}(t)
+#   "r"               x gamma_1 + y gamma_2, from the input Bloch vector
+#   "z1", "e2"        z gamma_1 and gamma_2
+#   "k"               Re c gamma_{2N} - Im c gamma_{2N-1}, from the site-N ket
+# The evolved end-site operators, in the order of the returned expectations:
+# X_1, X_N, Y_N, Z_N, X_1 X_N, X_1 Y_N, X_1 Z_N.
+_END_OPERATORS = (
+    (1, ("g1",)),
+    (1j, ("P", "gE")),
+    (-1j, ("P", "gO")),
+    (-1j, ("gO", "gE")),
+    (1j, ("g1", "P", "gE")),
+    (-1j, ("g1", "P", "gO")),
+    (-1j, ("g1", "gO", "gE")),
+)
+# 2 rho_1 = 1 + x X_1 + y Y_1 + z Z_1
+_INPUT_TERMS = ((1, ()), (1, ("r",)), (-1j, ("z1", "e2")))
+# 2 |kappa><kappa| = 1 + Re c X_N + Im c Y_N for kappa = (|0> + c|1>)/sqrt(2)
+_KET_TERMS = ((1, ()), (1j, ("P", "k")))
+# rows of the form matrix after the 2N unit forms
+_FORMS = ("z1", "r", "k", "g1", "gO", "gE")
+
+
+@lru_cache(maxsize=8)
+def _wick_terms(n: int):
+    """The nonvanishing Wick terms of the seven expectations on n sites:
+    (expectation index, odd in c, coefficient, form-row lists padded with
+    the sentinel row, padding blocks), one entry per term."""
+    row = {name: 2 * n + j for j, name in enumerate(_FORMS)}
+    row["e2"] = 1
+    terms = []
+    for out, (c_op, op) in enumerate(_END_OPERATORS):
+        for c_in, f_in in _INPUT_TERMS:
+            for c_ket, f_ket in _KET_TERMS:
+                coef, forms, parity = c_in * c_ket * c_op, [], 0
+                for factor in f_in + f_ket + op:
+                    if factor == "P":
+                        # to the front, past each single form; P^2 = 1
+                        coef *= (-1) ** len(forms)
+                        parity ^= 1
+                    else:
+                        forms.append(row[factor])
+                # odd Majorana products vanish on a parity-even state
+                if len(forms) % 2:
+                    continue
+                if parity:
+                    coef *= (1, -1j, -1, 1j)[n % 4]
+                    forms = list(range(2 * n)) + forms
+                terms.append((out, bool(f_ket), coef, forms))
+    size = max(len(forms) for *_, forms in terms)
+    sentinel = 2 * n + len(_FORMS)
+    rows = np.full((len(terms), size), sentinel)
+    # unit 2 x 2 blocks [[0, 1], [-1, 0]] fill each matrix up to the common size
+    pad = np.zeros((len(terms), size, size))
+    for i, (*_, forms) in enumerate(terms):
+        rows[i, :len(forms)] = forms
+        for p in range(len(forms), size, 2):
+            pad[i, p, p + 1], pad[i, p + 1, p] = 1.0, -1.0
+    out = np.array([t[0] for t in terms])
+    odd = np.array([t[1] for t in terms])
+    coef = np.array([t[2] for t in terms], dtype=complex)
+    return out, odd, coef, rows, pad
+
+
+def gaussian_end_expectations(
+    propagator: Propagator,
+    time: float,
+    bloch,
+    medium_correlation: np.ndarray,
+    end_phase: complex,
+) -> np.ndarray:
+    """End-site expectations after evolving rho_1 (x) M (x) |kappa><kappa|.
+
+    rho_1 is the site-1 state with Bloch vector ``bloch``, M the fermionic
+    Gaussian state of sites 2..N-1 with <a_i^dag a_j> =
+    ``medium_correlation`` and no pairing terms, and kappa =
+    (|0> + c|1>)/sqrt(2) on site N.  Returns shape (2, 7): the expectations
+    of X_1, X_N, Y_N, Z_N, X_1 X_N, X_1 Y_N, X_1 Z_N evolved over ``time``
+    under the propagator's chain, row 0 for c = ``end_phase`` and row 1 for
+    c = -end_phase.
+
+    With G = (I/2) (x) M (x) (I/2), the state is 4 G r k for r = rho_1 and
+    k = |kappa><kappa| written in Majoranas, so each expectation is a sum of
+    Tr[G w_1 ... w_2m] over products of linear forms, each the Pfaffian of
+    K_ij = <w_i w_j> (i < j).  All 21 of them go through one batched
+    :func:`pfaffian` in O(N^3).  The terms linear in c flip sign with it, so
+    one evaluation serves both rows.
+    """
+    n = propagator.generator.dimension
+    t = float(time)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    corr = np.asarray(medium_correlation, dtype=float)
+    if corr.shape != (n - 2, n - 2):
+        raise ValueError(f"expected a {n - 2} x {n - 2} medium correlation, got shape {corr.shape}")
+    x, y, z = (float(v) for v in bloch)
+    c = complex(end_phase)
+    v = propagator._v
+    # rows 1 and N of u = e^{-iht}; gamma(t) = R gamma with the 2 x 2 blocks
+    # [[Re u_jl, -Im u_jl], [Im u_jl, Re u_jl]]
+    ends = (v[[0, -1]] * np.exp(t * propagator._phase)) @ v.T
+    m = 2 * n
+    forms = np.zeros((m + len(_FORMS), m))
+    forms[:m] = np.eye(m)
+    forms[m, 0] = z
+    forms[m + 1, :2] = x, y
+    forms[m + 2, m - 2:] = -c.imag, c.real
+    for r, (re, im) in enumerate(((ends[0].real, -ends[0].imag),
+                                  (ends[1].real, -ends[1].imag),
+                                  (ends[1].imag, ends[1].real)), start=m + 3):
+        forms[r, 0::2], forms[r, 1::2] = re, im
+    # <gamma_a gamma_b> = delta_ab + i Gamma_ab on G, whose correlation
+    # matrix is diag(1/2, C, 1/2): Gamma_{2i-1,2j} = (I - 2 C)_ij
+    d = np.zeros((n, n))
+    d[1:-1, 1:-1] = np.eye(n - 2) - 2.0 * corr
+    gamma = np.zeros((m, m))
+    gamma[0::2, 1::2], gamma[1::2, 0::2] = d, -d
+    moments = np.zeros((len(forms) + 1,) * 2, dtype=complex)
+    moments[:-1, :-1] = forms @ forms.T + 1j * (forms @ gamma @ forms.T)
+    out, odd, coef, rows, pad = _wick_terms(n)
+    k = np.triu(moments[rows[:, :, None], rows[:, None, :]], 1)
+    values = coef * pfaffian(k - k.transpose(0, 2, 1) + pad)
+    # parts even and odd in c
+    parts = np.zeros((2, len(_END_OPERATORS)), dtype=complex)
+    np.add.at(parts, (odd.astype(int), out), values)
+    return np.stack([parts[0] + parts[1], parts[0] - parts[1]])
 
 
 def propagate(generator: Generator, time: float) -> CoefficientVector:

@@ -8,20 +8,29 @@ conditioned on the product of the two outcomes.  For the perfect coupling
 profile at its revival time the output equals the input on every outcome
 branch and for every medium state.
 
-The chain state is carried as columns and weights, never as a density
-matrix; a thermal medium enters as the sector factor of
-:func:`xxqst.oracle.thermal_factor`.
+Each medium takes the engine that fits it, chosen by its kind.  The XX
+chain is a free-fermion model, and the all-zero, maximally mixed and both
+thermal mediums are fermionic Gaussian states, so every branch follows from
+end-site expectations that :func:`xxqst.heisenberg.gaussian_end_expectations`
+evaluates with Wick's theorem in polynomial time, both pre-measurement
+outcomes at once.  Random-pure and explicit mediums are not Gaussian: they
+take the exact 2**n engine, which carries the chain state as columns and
+weights, never as a density matrix, and evolves them with
+:func:`xxqst.oracle.evolve_columns`.  Explicit mediums equal to the Gaussian
+ones cross-check the two engines.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
 
-from .chain import CouplingProfile
+from .chain import CouplingProfile, build_generator
 from .errors import InternalConsistencyError, ZeroProbabilityError
+from .heisenberg import Propagator, gaussian_end_expectations
 from .oracle import (
     PROB_FLOOR,
     DensityMatrix,
@@ -31,7 +40,6 @@ from .oracle import (
     conjugate_operator,
     evolve_columns,
     fidelity,
-    thermal_factor,
 )
 
 __all__ = [
@@ -198,21 +206,51 @@ def _random_pure(rng: np.random.Generator, n_sites: int) -> StateVector:
     return StateVector.normalized(n_sites, rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
-def _medium_factor(config: ProtocolConfig, rng: np.random.Generator):
-    n = config.profile.n_sites
-    if n == 2:
-        return np.ones((1, 1), dtype=complex), np.ones(1)
-    dim = 2 ** (n - 2)
-    kind, beta, explicit = _parse_medium(config.medium)
+# the medium kinds that are fermionic Gaussian states
+_GAUSSIAN = ("zero", "mixed", "thermal")
+
+
+def _medium_correlation(config: ProtocolConfig, kind: str, beta, chain: Propagator) -> np.ndarray:
+    """<a_i^dag a_j> over the interior sites of a Gaussian medium; `chain` is
+    the propagator of the whole chain."""
+    n_med = config.profile.n_sites - 2
     if kind == "zero":
-        return _factor(StateVector.basis(n - 2, 0))
+        return np.zeros((n_med, n_med))
     if kind == "mixed":
-        return np.eye(dim, dtype=complex), np.full(dim, 1.0 / dim)
-    if kind == "random":
-        return _factor(_random_pure(rng, n - 2))
-    if kind == "thermal":
-        return thermal_factor(config.profile, beta, config.thermal_variant)
-    return _factor(explicit)
+        return np.eye(n_med) / 2.0
+    if config.thermal_variant == "fullchain":
+        # Gibbs states are parity-even, so the fermionic reduction to the
+        # interior is the qubit one: the interior block
+        return chain.thermal_correlation(beta)[1:-1, 1:-1]
+    if n_med < 2:
+        # a lone interior site has no bond: its Gibbs state is maximally mixed
+        return np.eye(n_med) / 2.0
+    interior = CouplingProfile(n_med, config.profile.couplings[1:-1])
+    return Propagator(build_generator(interior)).thermal_correlation(beta)
+
+
+def _gaussian_outcomes(config: ProtocolConfig, kind: str, beta) -> dict:
+    """{o_pre: {o_post: (probability, unnormalized site-N matrix)}} on a
+    Gaussian medium, both pre-measurement outcomes from one evaluation."""
+    n = config.profile.n_sites
+    chain = Propagator(build_generator(config.profile))
+    state = config.input_state
+    if isinstance(state, StateVector):
+        state = state.density_matrix()
+    moments = gaussian_end_expectations(
+        chain, config.effective_time, state.bloch_vector(),
+        _medium_correlation(config, kind, beta, chain), _I_POW[n % 4],
+    )
+    outcomes = {}
+    for o_pre, (x1, xn, yn, zn, x1xn, x1yn, x1zn) in zip((1, -1), moments):
+        outcomes[o_pre] = {}
+        for o_post in (1, -1):
+            # Pauli components of Tr_{1..N-1}[(1 + o_post X_1)/2 . evolved state]
+            e_i, e_z = 1.0 + o_post * x1, zn + o_post * x1zn
+            e_x, e_y = xn + o_post * x1xn, yn + o_post * x1yn
+            site_n = np.array([[e_i + e_z, e_x - 1j * e_y], [e_x + 1j * e_y, e_i - e_z]]) / 4.0
+            outcomes[o_pre][o_post] = (float(np.real(np.trace(site_n))), site_n)
+    return outcomes
 
 
 def _equatorial_ket(n: int, outcome: int) -> np.ndarray:
@@ -221,20 +259,33 @@ def _equatorial_ket(n: int, outcome: int) -> np.ndarray:
 
 
 def _prepare(config: ProtocolConfig):
-    """rho_in (x) medium on sites 1..N-1 as columns V and weights w with
-    rho = V diag(w) V^dagger, the probabilities of the site-N outcomes, and
-    the seeded generator after its medium draw."""
+    """The probabilities of the site-N outcomes, a function from a
+    pre-measurement outcome to its {o_post: (probability, unnormalized
+    site-N matrix)}, and the seeded generator after its medium draw.
+
+    A Gaussian medium evaluates both outcomes here, in polynomial time.  Any
+    other medium is set up as rho_in (x) medium on sites 1..N-1, columns V
+    and weights w with rho = V diag(w) V^dagger, and each outcome is evolved
+    when asked for."""
     n = config.profile.n_sites
-    # the factored chain state holds 2**n x 2**(n-1) amplitudes
+    # one size rule for every medium: the factored chain state of the exact
+    # engine holds 2**n x 2**(n-1) amplitudes
     check_size(n, dense=True)
     rng = np.random.default_rng(config.seed)
-    in_cols, in_w = _factor(config.input_state)
-    med_cols, med_w = _medium_factor(config, rng)
-    front = np.einsum("ia,jb->ijab", in_cols, med_cols).reshape(2 ** (n - 1), -1)
     end_cols, end_w = _factor(config.end_state or StateVector.basis(1, 0))
     p_pre = {o: float(np.sum(end_w * np.abs(_equatorial_ket(n, o).conj() @ end_cols) ** 2))
              for o in (1, -1)}
-    return front, np.outer(in_w, med_w).ravel(), p_pre, rng
+    kind, beta, explicit = _parse_medium(config.medium)
+    if kind in _GAUSSIAN:
+        return p_pre, _gaussian_outcomes(config, kind, beta).__getitem__, rng
+    if n == 2:
+        med_cols, med_w = np.ones((1, 1), dtype=complex), np.ones(1)
+    else:
+        med_cols, med_w = _factor(_random_pure(rng, n - 2) if kind == "random" else explicit)
+    in_cols, in_w = _factor(config.input_state)
+    front = np.einsum("ia,jb->ijab", in_cols, med_cols).reshape(2 ** (n - 1), -1)
+    weights = np.outer(in_w, med_w).ravel()
+    return p_pre, partial(_post_outcomes, config, front, weights), rng
 
 
 def _post_outcomes(config: ProtocolConfig, front, weights, o_pre: int) -> dict:
@@ -298,12 +349,12 @@ def run_protocol_branches(
     drawn once from the config seed and shared by all branches.
     """
     t = config.effective_time
-    front, weights, p_pres, _ = _prepare(config)
+    p_pres, post_outcomes, _ = _prepare(config)
     results = []
     for o_pre, p_pre in p_pres.items():
         if p_pre < PROB_FLOOR:
             continue
-        for o_post, (p_post, site_n) in _post_outcomes(config, front, weights, o_pre).items():
+        for o_post, (p_post, site_n) in post_outcomes(o_pre).items():
             if p_post < PROB_FLOOR:
                 continue
             results.append(_finish_branch(
@@ -317,9 +368,9 @@ def run_protocol_branches(
 def run_protocol(config: ProtocolConfig, apply_correction: bool = True) -> ProtocolResult:
     """Single sampled run: outcomes drawn with Born probabilities from the
     config seed.  Deterministic given (config, seed)."""
-    front, weights, p_pres, rng = _prepare(config)
+    p_pres, post_outcomes, rng = _prepare(config)
     o_pre = 1 if rng.random() < min(max(p_pres[1], 0.0), 1.0) else -1
-    outcomes = _post_outcomes(config, front, weights, o_pre)
+    outcomes = post_outcomes(o_pre)
     o_post = 1 if rng.random() < min(max(outcomes[1][0], 0.0), 1.0) else -1
     p_post, site_n = outcomes[o_post]
     if p_post < PROB_FLOOR:

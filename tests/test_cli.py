@@ -221,6 +221,20 @@ def test_transfer_size_cap_exit_code(capsys, monkeypatch):
     assert "cap" in err or "limit" in err or "sites" in err
 
 
+@pytest.mark.parametrize("medium, variant", [
+    ("all-zero", "subchain"), ("maximally-mixed", "subchain"), ("random-pure", "subchain"),
+    ("thermal:1.0", "subchain"), ("thermal:1.0", "fullchain"),
+])
+def test_transfer_past_the_dense_limit_exit_code(capsys, monkeypatch, medium, variant):
+    # one size rule for every medium, whichever engine would run it
+    monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
+    code, _, err = run_cli(
+        capsys, "transfer", "--n", "13", "--medium", medium, "--thermal-variant", variant,
+    )
+    assert code == 3
+    assert "limited to 12" in err
+
+
 def test_oracle_cap_flag_leaves_environment_unchanged(capsys):
     before = dict(os.environ)
     assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "3")[0] == 0

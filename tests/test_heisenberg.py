@@ -16,6 +16,7 @@ from xxqst import (
     perfect_profile,
     propagate,
 )
+from xxqst.heisenberg import gaussian_end_expectations, pfaffian
 
 import reference
 
@@ -152,6 +153,8 @@ def test_non_finite_time_rejected(bad):
     for times in (bad, np.array([0.3, bad])):
         with pytest.raises(ValueError, match="finite"):
             prop.end_weights(times)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_end_expectations(prop, bad, (0, 0, 1), np.zeros((2, 2)), 1j)
 
 
 def test_end_weights_match_last_coefficient(rng):
@@ -206,3 +209,54 @@ def test_coefficient_vector_is_immutable():
     vec = propagate(build_generator(perfect_profile(3)), 0.4)
     with pytest.raises(ValueError):
         vec.values[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# Pfaffians and Wick evaluation
+# ---------------------------------------------------------------------------
+
+def _antisymmetric(rng, *shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return a - np.swapaxes(a, -1, -2)
+
+
+def test_pfaffian_squares_to_the_determinant(rng):
+    for m in range(2, 42, 2):
+        stack = _antisymmetric(rng, 4, m, m)
+        pf = pfaffian(stack)
+        assert pf.shape == (4,)
+        det = np.linalg.det(stack)
+        assert np.max(np.abs(pf**2 - det) / np.abs(det)) < 1e-10
+
+
+def test_pfaffian_four_by_four_closed_form(rng):
+    a = _antisymmetric(rng, 4, 4)
+    closed = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+    assert abs(pfaffian(a) - closed) < 1e-14
+    # the first pivot is zero: the largest entry of column 0 is swapped up
+    a[0, 1] = a[1, 0] = 0.0
+    closed = -a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+    assert abs(pfaffian(a) - closed) < 1e-14
+
+
+def test_pfaffian_of_singular_matrices_is_zero(rng):
+    a = _antisymmetric(rng, 6, 6)
+    a[:, 0] = a[0, :] = 0.0
+    assert pfaffian(a) == 0.0
+    # rank 2: u v^T - v u^T, exact in binary arithmetic
+    u = np.array([1.0, 2.0, 0.0, 1.0, 0.0, 3.0])
+    v = np.array([0.0, 1.0, 1.0, 2.0, 1.0, 0.0])
+    assert pfaffian(np.outer(u, v) - np.outer(v, u)) == 0.0
+    assert pfaffian(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_pfaffian_rejects_odd_or_non_square_shapes():
+    for shape in ((3, 3), (2, 4), (5, 3, 3)):
+        with pytest.raises(ValueError, match="even size"):
+            pfaffian(np.zeros(shape))
+
+
+def test_gaussian_end_expectations_checks_the_medium_shape():
+    prop = Propagator(build_generator(perfect_profile(5)))
+    with pytest.raises(ValueError, match="3 x 3"):
+        gaussian_end_expectations(prop, 0.3, (0, 0, 1), np.zeros((5, 5)), 1j)

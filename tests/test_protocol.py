@@ -7,6 +7,7 @@ import pytest
 from xxqst import (
     AXIAL_NAMES,
     REVIVAL_TIME,
+    CouplingProfile,
     DensityMatrix,
     InternalConsistencyError,
     ProtocolConfig,
@@ -16,6 +17,7 @@ from xxqst import (
     axial_state,
     bloch_state,
     boundary_profile,
+    evolve,
     perfect_profile,
     protocol,
     run_protocol,
@@ -239,6 +241,64 @@ def test_perfect_transfer_long_chains_every_medium(n):
             assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
 
 
+def _explicit_medium(profile, medium, variant):
+    """The explicit state equal to a Gaussian medium spec; it takes the 2**n engine."""
+    n = profile.n_sites
+    if medium == "all-zero":
+        return StateVector.basis(n - 2, 0)
+    if medium == "maximally-mixed":
+        return DensityMatrix.maximally_mixed(n - 2)
+    return thermal_medium(profile, float(medium.split(":")[1]), variant)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_gaussian_mediums_match_their_explicit_states(n):
+    # the Wick evaluation against the 2**n engine on the same states
+    rng = np.random.default_rng(9000 + n)
+    profile = CouplingProfile(n, tuple(rng.uniform(0.3, 1.5, n - 1)))
+    mediums = [("all-zero", "subchain"), ("maximally-mixed", "subchain")] + [
+        (f"thermal:{beta}", variant)
+        for beta in (0, 0.5, 3, 50) for variant in ("subchain", "fullchain")
+    ]
+    for i, (medium, variant) in enumerate(mediums):
+        if i % 2:
+            input_state = DensityMatrix(1, reference.random_mixed(rng, 1))
+        else:
+            input_state = bloch_state(*rng.uniform(0.0, 3.0, size=2))
+        end_state = DensityMatrix(1, reference.random_mixed(rng, 1)) if i % 3 == 0 else None
+        apply_correction = i % 4 != 1
+        common = dict(profile=profile, input_state=input_state, end_state=end_state,
+                      evolution_time=float(rng.uniform(0.1, 3.0)), seed=i)
+        spec = ProtocolConfig(**common, medium=medium, thermal_variant=variant)
+        explicit = ProtocolConfig(**common, medium=_explicit_medium(profile, medium, variant))
+        ours = branch_map(run_protocol_branches(spec, apply_correction))
+        theirs = branch_map(run_protocol_branches(explicit, apply_correction))
+        assert set(ours) == set(theirs)
+        for key, branch in theirs.items():
+            assert abs(ours[key].probability - branch.probability) < 1e-12
+            assert np.max(np.abs(ours[key].output_state.matrix - branch.output_state.matrix)) < 1e-12
+        sample = run_protocol(spec, apply_correction)
+        enumerated = ours[(sample.outcome_pre, sample.outcome_post)]
+        assert abs(sample.probability - enumerated.probability) < 1e-12
+        assert np.max(np.abs(sample.output_state.matrix - enumerated.output_state.matrix)) < 1e-12
+
+
+def test_gaussian_mediums_never_touch_the_sector_engine():
+    from xxqst.oracle import _sector_eigh
+
+    # the one-chain cache holds another chain: any use of the 12-site one shows
+    evolve(StateVector.basis(3, 1), perfect_profile(3), 0.1)
+    before = _sector_eigh.cache_info()
+    profile = perfect_profile(12)
+    for medium, variant in (("all-zero", "subchain"), ("maximally-mixed", "subchain"),
+                            ("thermal:0.8", "subchain"), ("thermal:0.8", "fullchain")):
+        config = ProtocolConfig(profile, bloch_state(1.1, 0.4), medium=medium, seed=3,
+                                thermal_variant=variant)
+        run_protocol_branches(config)
+        run_protocol(config)
+    assert _sector_eigh.cache_info() == before
+
+
 def test_finish_branch_bounds_its_cleanup():
     from xxqst.protocol import _finish_branch
 
@@ -367,11 +427,17 @@ def test_protocol_refuses_chains_past_the_dense_limit(monkeypatch):
     # refused under the default cap of 14, before any eigensolve: the
     # 13-site chain's would take about a second
     monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
-    config = ProtocolConfig(perfect_profile(13), axial_state("+x"))
-    with pytest.raises(ResourceLimitError):
-        run_protocol_branches(config)
-    with pytest.raises(ResourceLimitError):
-        run_protocol(config)
+    profile = perfect_profile(13)
+    mediums = [("all-zero", "subchain"), ("maximally-mixed", "subchain"),
+               ("random-pure", "subchain"), ("thermal:1.0", "subchain"),
+               ("thermal:1.0", "fullchain"), (StateVector.basis(11, 0), "subchain")]
+    for medium, variant in mediums:
+        config = ProtocolConfig(profile, axial_state("+x"), medium=medium,
+                                thermal_variant=variant)
+        with pytest.raises(ResourceLimitError):
+            run_protocol_branches(config)
+        with pytest.raises(ResourceLimitError):
+            run_protocol(config)
 
 
 def test_protocol_follows_a_lower_cap(monkeypatch):

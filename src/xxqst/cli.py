@@ -8,7 +8,7 @@ embeds the run configuration and the package version; with --no-timestamp
 reruns are byte-identical (the determinism contract the tests pin).
 
 Exit codes: 0 success, 1 failed verification checks, 2 usage errors,
-3 resource limits, 4 internal consistency failures.
+3 resource limits and failed allocations, 4 internal consistency failures.
 """
 from __future__ import annotations
 
@@ -199,10 +199,10 @@ def _cmd_sweep(args) -> int:
     }
     lines = _metadata_lines(args, config)
     lines.append("eta,t,estimate")
-    for i, eta in enumerate(result.eta_values):
-        for j, t in enumerate(result.t_values):
-            lines.append(",".join([_fmt(eta), _fmt(t), _fmt(result.surface[i, j])]))
-    _emit(args, "\n".join(lines) + "\n")
+    # eta-major rows: eta_i, t_j, surface[i, j]
+    n_eta, n_t = result.surface.shape
+    table = np.column_stack([np.tile(result.t_values, n_eta), result.surface.ravel()])
+    _emit(args, "\n".join(lines) + "\n", _csv_rows(np.repeat(result.eta_values, n_t), table))
     best = {
         "eta": result.best_eta,
         "time": result.best_time,
@@ -398,8 +398,9 @@ def main(argv=None) -> int:
         os.environ["XXQST_ORACLE_CAP"] = str(args.oracle_cap)
     try:
         return args.handler(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,14 +16,17 @@ gives the exact transfer protocol on Gaussian mediums (all-zero,
 maximally mixed, thermal) in polynomial time: :func:`gaussian_end_expectations`
 evaluates the end-site expectations the protocol needs with Wick's theorem,
 one batched :func:`pfaffian` pass for all of them (Terhal & DiVincenzo,
-PRA 65, 032325 (2002); Bravyi, QIC 5, 216 (2005)).  The 2**n oracle is
-only needed for mediums that are not Gaussian.
+PRA 65, 032325 (2002); Bravyi, QIC 5, 216 (2005)).  The terms that keep the
+fermion parity hold every Majorana of the chain; in the medium's pair basis
+its well-conditioned (stiff) pairs are eliminated once, exactly, for all of
+them, so each Pfaffian keeps only the soft pairs and at most six forms, and
+terms that vanish by rank are skipped.  The 2**n oracle is only needed for
+mediums that are not Gaussian.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dstevd
@@ -203,10 +206,10 @@ def pfaffian(matrices) -> np.ndarray:
 # Y_N = -i P gamma_{2N-1}, where the parity P = prod_j Z_j
 # = (-i)^N gamma_1 ... gamma_{2N} commutes with H.  A product is written as
 # (coefficient, factors); a factor is "P" or one of the linear forms
-#   "g1", "gO", "gE"  gamma_1(t), gamma_{2N-1}(t), gamma_{2N}(t)
-#   "r"               x gamma_1 + y gamma_2, from the input Bloch vector
 #   "z1", "e2"        z gamma_1 and gamma_2
+#   "r"               x gamma_1 + y gamma_2, from the input Bloch vector
 #   "k"               Re c gamma_{2N} - Im c gamma_{2N-1}, from the site-N ket
+#   "g1", "gO", "gE"  gamma_1(t), gamma_{2N-1}(t), gamma_{2N}(t)
 # The evolved end-site operators, in the order of the returned expectations:
 # X_1, X_N, Y_N, Z_N, X_1 X_N, X_1 Y_N, X_1 Z_N.
 _END_OPERATORS = (
@@ -222,49 +225,39 @@ _END_OPERATORS = (
 _INPUT_TERMS = ((1, ()), (1, ("r",)), (-1j, ("z1", "e2")))
 # 2 |kappa><kappa| = 1 + Re c X_N + Im c Y_N for kappa = (|0> + c|1>)/sqrt(2)
 _KET_TERMS = ((1, ()), (1j, ("P", "k")))
-# rows of the form matrix after the 2N unit forms
-_FORMS = ("z1", "r", "k", "g1", "gO", "gE")
+_FORMS = ("z1", "e2", "r", "k", "g1", "gO", "gE")
+# Medium pairs with |delta| >= _STIFF are eliminated by the Schur step that
+# all parity terms share; the others stay in their Pfaffians.  The split is
+# exact for any threshold: this one only bounds the 1/delta growth of the
+# correction, whose roundoff goes roughly as eps / threshold**3.
+_STIFF = 0.5
 
 
-@lru_cache(maxsize=8)
-def _wick_terms(n: int):
-    """The nonvanishing Wick terms of the seven expectations on n sites:
-    (expectation index, odd in c, coefficient, form-row lists padded with
-    the sentinel row, padding blocks), one entry per term."""
-    row = {name: 2 * n + j for j, name in enumerate(_FORMS)}
-    row["e2"] = 1
+def _wick_terms():
+    """The nonvanishing Wick terms of the seven expectations, as arrays over
+    the terms (expectation index, 1 if odd in c, coefficient, carries P) and a
+    tuple of each term's form indices into _FORMS, in product order."""
     terms = []
     for out, (c_op, op) in enumerate(_END_OPERATORS):
         for c_in, f_in in _INPUT_TERMS:
             for c_ket, f_ket in _KET_TERMS:
-                coef, forms, parity = c_in * c_ket * c_op, [], 0
+                coef, forms, parity = c_in * c_ket * c_op, [], False
                 for factor in f_in + f_ket + op:
                     if factor == "P":
                         # to the front, past each single form; P^2 = 1
                         coef *= (-1) ** len(forms)
-                        parity ^= 1
+                        parity = not parity
                     else:
-                        forms.append(row[factor])
+                        forms.append(_FORMS.index(factor))
                 # odd Majorana products vanish on a parity-even state
-                if len(forms) % 2:
-                    continue
-                if parity:
-                    coef *= (1, -1j, -1, 1j)[n % 4]
-                    forms = list(range(2 * n)) + forms
-                terms.append((out, bool(f_ket), coef, forms))
-    size = max(len(forms) for *_, forms in terms)
-    sentinel = 2 * n + len(_FORMS)
-    rows = np.full((len(terms), size), sentinel)
-    # unit 2 x 2 blocks [[0, 1], [-1, 0]] fill each matrix up to the common size
-    pad = np.zeros((len(terms), size, size))
-    for i, (*_, forms) in enumerate(terms):
-        rows[i, :len(forms)] = forms
-        for p in range(len(forms), size, 2):
-            pad[i, p, p + 1], pad[i, p + 1, p] = 1.0, -1.0
-    out = np.array([t[0] for t in terms])
-    odd = np.array([t[1] for t in terms])
-    coef = np.array([t[2] for t in terms], dtype=complex)
-    return out, odd, coef, rows, pad
+                if len(forms) % 2 == 0:
+                    terms.append((out, bool(f_ket), coef, parity, tuple(forms)))
+    out, odd, coef, parity, forms = zip(*terms)
+    return (np.array(out), np.array(odd, dtype=int), np.array(coef, dtype=complex),
+            np.array(parity), forms)
+
+
+_TERM_OUT, _TERM_ODD, _TERM_COEF, _TERM_PARITY, _TERM_FORMS = _wick_terms()
 
 
 def gaussian_end_expectations(
@@ -286,10 +279,21 @@ def gaussian_end_expectations(
 
     With G = (I/2) (x) M (x) (I/2), the state is 4 G r k for r = rho_1 and
     k = |kappa><kappa| written in Majoranas, so each expectation is a sum of
-    Tr[G w_1 ... w_2m] over products of linear forms, each the Pfaffian of
-    K_ij = <w_i w_j> (i < j).  All 21 of them go through one batched
-    :func:`pfaffian` in O(N^3).  The terms linear in c flip sign with it, so
-    one evaluation serves both rows.
+    Tr[G w_1 ... w_k] over products of at most six linear forms, each the
+    Pfaffian of K_ij = <w_i w_j> (i < j).  A term with the parity P also
+    holds all 2N Majoranas.  Those are taken in the pair basis of the
+    medium: I - 2C = Q diag(delta) Q^T on the interior, and rotating the odd
+    and the even Majoranas by the same Q (determinant +1, so no Pfaffian
+    changes) leaves N pairs with <c_odd,j c_even,j> = i delta_j and no
+    moment across pairs; the two end sites are delta = 0 pairs.  Every
+    stiff pair (|delta| >= 1/2) is eliminated once for all parity terms by
+    a Schur step, Pf = prod_j (i delta_j) Pf(soft pairs + corrected forms),
+    which corrects only the moments among the forms.  A parity term whose
+    exact-zero pairs hold more Majoranas than it has forms vanishes by rank
+    and is skipped; so is every parity term of the maximally mixed medium
+    past three sites.  The rest go through one batched :func:`pfaffian` of
+    at most (2s + 6)-square matrices for s soft pairs.  The terms linear in
+    c flip sign with it, so one evaluation serves both rows.
     """
     n = propagator.generator.dimension
     t = float(time)
@@ -304,30 +308,74 @@ def gaussian_end_expectations(
     # rows 1 and N of u = e^{-iht}; gamma(t) = R gamma with the 2 x 2 blocks
     # [[Re u_jl, -Im u_jl], [Im u_jl, Re u_jl]]
     ends = (v[[0, -1]] * np.exp(t * propagator._phase)) @ v.T
-    m = 2 * n
-    forms = np.zeros((m + len(_FORMS), m))
-    forms[:m] = np.eye(m)
-    forms[m, 0] = z
-    forms[m + 1, :2] = x, y
-    forms[m + 2, m - 2:] = -c.imag, c.real
-    for r, (re, im) in enumerate(((ends[0].real, -ends[0].imag),
-                                  (ends[1].real, -ends[1].imag),
-                                  (ends[1].imag, ends[1].real)), start=m + 3):
-        forms[r, 0::2], forms[r, 1::2] = re, im
+    # each form's weights on gamma_{2j-1} (odd) and gamma_{2j} (even), a row per form
+    odd, even = np.zeros((2, len(_FORMS), n))
+    odd[0, 0] = z
+    even[1, 0] = 1.0
+    odd[2, 0], even[2, 0] = x, y
+    odd[3, -1], even[3, -1] = -c.imag, c.real
+    odd[4:] = ends[0].real, ends[1].real, ends[1].imag
+    even[4:] = -ends[0].imag, -ends[1].imag, ends[1].real
     # <gamma_a gamma_b> = delta_ab + i Gamma_ab on G, whose correlation
-    # matrix is diag(1/2, C, 1/2): Gamma_{2i-1,2j} = (I - 2 C)_ij
-    d = np.zeros((n, n))
-    d[1:-1, 1:-1] = np.eye(n - 2) - 2.0 * corr
-    gamma = np.zeros((m, m))
-    gamma[0::2, 1::2], gamma[1::2, 0::2] = d, -d
-    moments = np.zeros((len(forms) + 1,) * 2, dtype=complex)
-    moments[:-1, :-1] = forms @ forms.T + 1j * (forms @ gamma @ forms.T)
-    out, odd, coef, rows, pad = _wick_terms(n)
-    k = np.triu(moments[rows[:, :, None], rows[:, None, :]], 1)
-    values = coef * pfaffian(k - k.transpose(0, 2, 1) + pad)
+    # matrix is diag(1/2, C, 1/2): Gamma_{2i-1,2j} = D_ij = diag(0, I - 2C, 0)_ij.
+    # The pair basis: D = Q diag(delta) Q^T, Q the identity on the end sites
+    delta = np.zeros(n)
+    delta[1:-1], q = np.linalg.eigh(np.eye(n - 2) - 2.0 * corr)
+    odd[:, 1:-1] = odd[:, 1:-1] @ q
+    even[:, 1:-1] = even[:, 1:-1] @ q
+    # <c_odd,j w> and <c_even,j w>, a row per form w and a column per pair j
+    w_odd = odd + 1j * delta * even
+    w_even = even - 1j * delta * odd
+    # <w_a w_b> = f_a . f_b + i f_a Gamma f_b among the forms
+    plain = odd @ odd.T + even @ even.T + 1j * ((odd * delta) @ even.T - (even * delta) @ odd.T)
+    # the Schur step over the stiff pairs: Pf = prod_j (i delta_j)
+    # Pf(soft pairs + [K + B^T A^-1 B]), B their moments with the forms and
+    # A^-1 the blocks [[0, -1/(i delta_j)], [1/(i delta_j), 0]]
+    stiff = np.abs(delta) >= _STIFF
+    inv = 1.0 / (1j * delta[stiff])
+    s_odd, s_even = w_odd[:, stiff], w_even[:, stiff]
+    corrected = plain + (s_even * inv) @ s_odd.T - (s_odd * inv) @ s_even.T
+    # master moments: soft pair rows (c_odd,j, c_even,j) | corrected forms |
+    # plain forms | a zero sentinel row
+    soft = ~stiff
+    # m rows for the soft pairs, f for each set of forms
+    m, f = 2 * int(np.count_nonzero(soft)), len(_FORMS)
+    master = np.zeros((m + 2 * f + 1,) * 2, dtype=complex)
+    heads = np.arange(0, m, 2)
+    master[heads, heads + 1] = 1j * delta[soft]
+    master[heads, m:m + f] = w_odd[:, soft].T
+    master[heads + 1, m:m + f] = w_even[:, soft].T
+    master[m:m + f, m:m + f] = corrected
+    master[m + f:-1, m + f:-1] = plain
+    # the 2z Majoranas of exact-zero pairs meet only the term's forms, so
+    # 2z > k forms make its Pfaffian zero by rank
+    zeros = 2 * int(np.count_nonzero(delta == 0.0))
+    kept, lists = [], []
+    for i, (parity, forms) in enumerate(zip(_TERM_PARITY, _TERM_FORMS)):
+        if not parity:
+            lists.append([m + f + a for a in forms])
+        elif zeros <= len(forms):
+            lists.append(list(range(m)) + [m + a for a in forms])
+        else:
+            continue
+        kept.append(i)
+    lengths = np.array([len(r) for r in lists])
+    size = int(lengths.max())
+    rows = np.full((len(lists), size), len(master) - 1)
+    for i, r in enumerate(lists):
+        rows[i, :len(r)] = r
+    k = np.triu(master[rows[:, :, None], rows[:, None, :]], 1)
+    # unit 2 x 2 blocks [[0, 1], [-1, 0]] fill each matrix up to the common size
+    blocks = np.arange(0, size, 2)
+    k[:, blocks, blocks + 1] += blocks >= lengths[:, None]
+    # P = (-i)^N gamma_1 ... gamma_2N; on long thermal chains the stiff
+    # product may underflow to 0, which is then the value of those terms
+    coef = _TERM_COEF[kept] * np.where(
+        _TERM_PARITY[kept], (1, -1j, -1, 1j)[n % 4] * np.prod(1j * delta[stiff]), 1.0)
+    values = coef * pfaffian(k - k.transpose(0, 2, 1))
     # parts even and odd in c
     parts = np.zeros((2, len(_END_OPERATORS)), dtype=complex)
-    np.add.at(parts, (odd.astype(int), out), values)
+    np.add.at(parts, (_TERM_ODD[kept], _TERM_OUT[kept]), values)
     return np.stack([parts[0] + parts[1], parts[0] - parts[1]])
 
 

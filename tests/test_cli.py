@@ -9,7 +9,7 @@ import pytest
 
 from xxqst import InternalConsistencyError, __version__
 from xxqst.cli import _csv_rows, _fmt, build_parser, main, parse_time
-from xxqst.optimize import DEFAULT_ETA_RANGE, DEFAULT_T_RANGE
+from xxqst.optimize import DEFAULT_ETA_RANGE, DEFAULT_T_RANGE, sweep
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +258,12 @@ def test_sweep_csv_and_best_point(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[2] == "eta,t,estimate"
     assert len(lines) == 3 + 16 * 16
+    result = sweep(5, DEFAULT_ETA_RANGE, DEFAULT_T_RANGE, 16)
+    assert lines[3:] == [
+        ",".join([_fmt(eta), _fmt(t), _fmt(result.surface[i, j])])
+        for i, eta in enumerate(result.eta_values)
+        for j, t in enumerate(result.t_values)
+    ]
     surface_best = max(float(line.split(",")[2]) for line in lines[3:])
     assert best["estimate"] == pytest.approx(surface_best, abs=1e-12)
 
@@ -358,6 +364,22 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--n", "4")
     assert code == 4
     assert "sanity check tripped" in err
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "error: out of memory"),
+    # what numpy raises when an array cannot be allocated
+    (MemoryError("Unable to allocate 149. GiB"), "error: Unable to allocate 149. GiB"),
+])
+def test_allocation_failure_exit_code(capsys, monkeypatch, error, message):
+    import xxqst.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "coefficient_trace", boom)
+    code, out, err = run_cli(capsys, "coefficients", "--n", "4", "--t-max", "1", "--steps", "3")
+    assert (code, out, err) == (3, "", message + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,33 @@ def test_perfect_transfer_long_chains_every_medium(n):
             assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [100, 101])
+def test_perfect_transfer_past_the_dense_limit_on_gaussian_mediums(n):
+    # the public entry points keep the dense size rule, so the branches are
+    # read from the Gaussian evaluation directly; 101 sites leave an odd
+    # interior with an exact zero mode
+    from xxqst.protocol import PROB_FLOOR, _finish_branch, _gaussian_outcomes, _parse_medium
+
+    rng = np.random.default_rng(7700 + n)
+    mediums = [("all-zero", "subchain"), ("maximally-mixed", "subchain"),
+               ("thermal:1.0", "subchain"), ("thermal:1.0", "fullchain"),
+               ("thermal:0.05", "subchain")]
+    for medium, variant in mediums:
+        config = ProtocolConfig(perfect_profile(n), bloch_state(*rng.uniform(0.0, 3.0, size=2)),
+                                medium=medium, thermal_variant=variant)
+        kind, beta, _ = _parse_medium(medium)
+        kept = 0
+        for o_pre, outcomes in _gaussian_outcomes(config, kind, beta).items():
+            for o_post, (p_post, site_n) in outcomes.items():
+                if p_post < PROB_FLOOR:
+                    continue
+                branch = _finish_branch(config, site_n / p_post, o_pre, o_post, p_post,
+                                        REVIVAL_TIME, True)
+                assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
+                kept += 1
+        assert kept >= 2
+
+
 def _explicit_medium(profile, medium, variant):
     """The explicit state equal to a Gaussian medium spec; it takes the 2**n engine."""
     n = profile.n_sites

@@ -7,7 +7,7 @@ Layers, from cheap to exact:
   evolution generator.
 - heisenberg: polynomial-cost propagation of evolved end-site operator
   coefficients, and the end-site expectations behind the exact protocol
-  on Gaussian mediums (Wick's theorem, batched Pfaffians).
+  on Gaussian mediums (Wick's theorem in an exterior algebra).
 - oracle: full 2**n reference engine (states, measurements, fidelity).
 - protocol: the initialization-free transfer protocol, exact on small
   chains, plus its operator-identity checks.

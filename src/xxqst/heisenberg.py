@@ -14,14 +14,14 @@ forward propagation under the reversed coupling profile.
 The chain is a free-fermion model, and the same tridiagonal eigensystem
 gives the exact transfer protocol on Gaussian mediums (all-zero,
 maximally mixed, thermal) in polynomial time: :func:`gaussian_end_expectations`
-evaluates the end-site expectations the protocol needs with Wick's theorem,
-one batched :func:`pfaffian` pass for all of them (Terhal & DiVincenzo,
-PRA 65, 032325 (2002); Bravyi, QIC 5, 216 (2005)).  The terms that keep the
-fermion parity hold every Majorana of the chain; in the medium's pair basis
-its well-conditioned (stiff) pairs are eliminated once, exactly, for all of
-them, so each Pfaffian keeps only the soft pairs and at most six forms, and
-terms that vanish by rank are skipped.  The 2**n oracle is only needed for
-mediums that are not Gaussian.
+evaluates the end-site expectations the protocol needs with Wick's theorem
+(Terhal & DiVincenzo, PRA 65, 032325 (2002)) in its Grassmann-integral form
+(Bravyi, QIC 5, 216 (2005)).  Every term is a coefficient in the exterior
+algebra of seven end-site linear forms.  The terms that keep the fermion
+parity hold every Majorana of the chain; in the medium's pair basis each
+pair contributes one commuting factor, so one product over the N pairs
+gives all of them.  The 2**n oracle is only needed for mediums that are
+not Gaussian.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ __all__ = [
     "mirror_propagate",
     "coefficient_trace",
     "estimate_fidelity",
-    "pfaffian",
     "gaussian_end_expectations",
 ]
 
@@ -166,40 +165,6 @@ class Propagator:
         return (self._v * occupations) @ self._v.T
 
 
-def pfaffian(matrices) -> np.ndarray:
-    """Pfaffians of a stack of antisymmetric matrices of even size, shape
-    (..., m, m).
-
-    Parlett-Reid elimination with partial pivoting, one pass for the whole
-    stack: each step swaps the largest entry below the diagonal of column k
-    into row k + 1 and eliminates with it, O(m^3) per matrix.  A pivot
-    column of zeros makes that Pfaffian exactly 0.
-    """
-    a = np.array(matrices, dtype=complex)
-    shape, m = a.shape[:-2], a.shape[-1]
-    if a.shape[-2] != m or m % 2:
-        raise ValueError(f"expected square matrices of even size, got shape {a.shape}")
-    a = a.reshape(-1, m, m)
-    stack = np.arange(len(a))
-    pf = np.ones(len(a), dtype=complex)
-    for k in range(0, m - 1, 2):
-        piv = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
-        pf[piv != k + 1] *= -1.0
-        rows = a[stack, piv].copy()
-        a[stack, piv] = a[:, k + 1]
-        a[:, k + 1] = rows
-        cols = a[stack, :, piv].copy()
-        a[stack, :, piv] = a[:, :, k + 1]
-        a[:, :, k + 1] = cols
-        pivot = a[:, k, k + 1]
-        pf *= pivot
-        # a zero pivot has zeroed pf; divide by 1 so the stack stays finite
-        tau = a[:, k, k + 2:] / np.where(pivot == 0, 1.0, pivot)[:, None]
-        col = a[:, k + 2:, k + 1]
-        a[:, k + 2:, k + 2:] += tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
-    return pf.reshape(shape)
-
-
 # Majorana frame, site 1 first: gamma_{2j-1} = a_j + a_j^dag and
 # gamma_{2j} = i (a_j^dag - a_j).  Then X_1 = gamma_1, Y_1 = gamma_2,
 # Z_1 = -i gamma_1 gamma_2, and at the far end X_N = i P gamma_{2N} and
@@ -226,17 +191,12 @@ _INPUT_TERMS = ((1, ()), (1, ("r",)), (-1j, ("z1", "e2")))
 # 2 |kappa><kappa| = 1 + Re c X_N + Im c Y_N for kappa = (|0> + c|1>)/sqrt(2)
 _KET_TERMS = ((1, ()), (1j, ("P", "k")))
 _FORMS = ("z1", "e2", "r", "k", "g1", "gO", "gE")
-# Medium pairs with |delta| >= _STIFF are eliminated by the Schur step that
-# all parity terms share; the others stay in their Pfaffians.  The split is
-# exact for any threshold: this one only bounds the 1/delta growth of the
-# correction, whose roundoff goes roughly as eps / threshold**3.
-_STIFF = 0.5
 
 
 def _wick_terms():
     """The nonvanishing Wick terms of the seven expectations, as arrays over
-    the terms (expectation index, 1 if odd in c, coefficient, carries P) and a
-    tuple of each term's form indices into _FORMS, in product order."""
+    the terms: expectation index, 1 if odd in c, coefficient, carries P, and
+    the index of its forms' mask among the even masks (see _WEDGE)."""
     terms = []
     for out, (c_op, op) in enumerate(_END_OPERATORS):
         for c_in, f_in in _INPUT_TERMS:
@@ -249,15 +209,70 @@ def _wick_terms():
                         parity = not parity
                     else:
                         forms.append(_FORMS.index(factor))
+                # the forms need not anticommute, so a term is read from e_S
+                # only if its product order is the _FORMS order
+                if forms != sorted(set(forms)):
+                    raise InternalConsistencyError(f"Wick term forms {forms} out of _FORMS order")
                 # odd Majorana products vanish on a parity-even state
                 if len(forms) % 2 == 0:
-                    terms.append((out, bool(f_ket), coef, parity, tuple(forms)))
-    out, odd, coef, parity, forms = zip(*terms)
+                    terms.append((out, bool(f_ket), coef, parity, sum(1 << a for a in forms) & 63))
+    out, odd, coef, parity, mask = zip(*terms)
     return (np.array(out), np.array(odd, dtype=int), np.array(coef, dtype=complex),
-            np.array(parity), forms)
+            np.array(parity), np.array(mask))
 
 
-_TERM_OUT, _TERM_ODD, _TERM_COEF, _TERM_PARITY, _TERM_FORMS = _wick_terms()
+_TERM_OUT, _TERM_ODD, _TERM_COEF, _TERM_PARITY, _TERM_MASK = _wick_terms()
+# the 21 two-forms e_a e_b (a < b) of the exterior algebra on the seven forms
+_PAIR_A, _PAIR_B = np.triu_indices(len(_FORMS), 1)
+
+
+def _wedge_table():
+    """x ^ omega as a scatter over the 64 even masks, each stored at the
+    index of its low six bits (bit 6 is their parity): one entry (dst, src,
+    pair, sign) for every even mask m and pair a < b outside it, with
+    e_m e_a e_b = sign e_{m | a | b} and sign = (-1)^(#(m above a) + #(m above b))."""
+    entries = []
+    for src in range(64):
+        m = src | (src.bit_count() & 1) << 6
+        for pair, (a, b) in enumerate(zip(_PAIR_A.tolist(), _PAIR_B.tolist())):
+            if not m & (1 << a | 1 << b):
+                sign = (-1) ** ((m >> a + 1).bit_count() + (m >> b + 1).bit_count())
+                entries.append(((m | 1 << a | 1 << b) & 63, src, pair, sign))
+    dst, src, pair, sign = (np.array(column) for column in zip(*entries))
+    return dst, src, pair, sign.astype(float)
+
+
+_WEDGE = _wedge_table()
+
+
+def _wedge(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """x ^ omega for an even element x (64 entries) and a two-form omega
+    (its 21 entries omega_ab, a < b)."""
+    dst, src, pair, sign = _WEDGE
+    terms = sign * x[src] * omega[pair]
+    return np.bincount(dst, terms.real, 64) + 1j * np.bincount(dst, terms.imag, 64)
+
+
+def _pair_product(k: np.ndarray, delta: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """exp(K) and prod_j (i delta_j + omega_j) ^ exp(K) for K = sum_{a<b}
+    k_ab e_a e_b (21 entries) and omega_j = -u[j] ^ v[j], u[j] and v[j]
+    one-forms of 7 entries each.
+
+    Degrees cap at 6 and omega_j ^ omega_j = 0, so both are exact; the
+    coefficient of e_S in the product is the Pfaffian of the moments of the
+    pairs (i delta_j, u[j], v[j]) and then the forms S, with k among them.
+    """
+    power = np.zeros(64, dtype=complex)
+    power[0] = 1.0
+    expk = power
+    for r in (1, 2, 3):
+        power = _wedge(power, k) / r
+        expk = expk + power
+    omega = v[:, _PAIR_A] * u[:, _PAIR_B] - u[:, _PAIR_A] * v[:, _PAIR_B]
+    product = expk
+    for d, om in zip(delta, omega):
+        product = 1j * d * product + _wedge(product, om)
+    return expk, product
 
 
 def gaussian_end_expectations(
@@ -285,15 +300,15 @@ def gaussian_end_expectations(
     medium: I - 2C = Q diag(delta) Q^T on the interior, and rotating the odd
     and the even Majoranas by the same Q (determinant +1, so no Pfaffian
     changes) leaves N pairs with <c_odd,j c_even,j> = i delta_j and no
-    moment across pairs; the two end sites are delta = 0 pairs.  Every
-    stiff pair (|delta| >= 1/2) is eliminated once for all parity terms by
-    a Schur step, Pf = prod_j (i delta_j) Pf(soft pairs + corrected forms),
-    which corrects only the moments among the forms.  A parity term whose
-    exact-zero pairs hold more Majoranas than it has forms vanishes by rank
-    and is skipped; so is every parity term of the maximally mixed medium
-    past three sites.  The rest go through one batched :func:`pfaffian` of
-    at most (2s + 6)-square matrices for s soft pairs.  The terms linear in
-    c flip sign with it, so one evaluation serves both rows.
+    moment across pairs; the two end sites are delta = 0 pairs.  Wick's
+    theorem as a Grassmann integral over one variable per form reads every
+    term from the even part (64 entries) of the exterior algebra of the
+    seven forms: a term is the coefficient of e_S, S its forms, in exp(K)
+    for K the two-form of the moments among the forms, and a parity term
+    in prod_j (i delta_j + omega_j) ^ exp(K), where integrating out pair j
+    leaves omega_j = -U_j ^ V_j, U_j and V_j its moments with the forms.
+    This costs O(N) after the pair basis, with no division by delta.  The
+    terms linear in c flip sign with it, so one evaluation serves both rows.
     """
     n = propagator.generator.dimension
     t = float(time)
@@ -328,54 +343,15 @@ def gaussian_end_expectations(
     w_even = even - 1j * delta * odd
     # <w_a w_b> = f_a . f_b + i f_a Gamma f_b among the forms
     plain = odd @ odd.T + even @ even.T + 1j * ((odd * delta) @ even.T - (even * delta) @ odd.T)
-    # the Schur step over the stiff pairs: Pf = prod_j (i delta_j)
-    # Pf(soft pairs + [K + B^T A^-1 B]), B their moments with the forms and
-    # A^-1 the blocks [[0, -1/(i delta_j)], [1/(i delta_j), 0]]
-    stiff = np.abs(delta) >= _STIFF
-    inv = 1.0 / (1j * delta[stiff])
-    s_odd, s_even = w_odd[:, stiff], w_even[:, stiff]
-    corrected = plain + (s_even * inv) @ s_odd.T - (s_odd * inv) @ s_even.T
-    # master moments: soft pair rows (c_odd,j, c_even,j) | corrected forms |
-    # plain forms | a zero sentinel row
-    soft = ~stiff
-    # m rows for the soft pairs, f for each set of forms
-    m, f = 2 * int(np.count_nonzero(soft)), len(_FORMS)
-    master = np.zeros((m + 2 * f + 1,) * 2, dtype=complex)
-    heads = np.arange(0, m, 2)
-    master[heads, heads + 1] = 1j * delta[soft]
-    master[heads, m:m + f] = w_odd[:, soft].T
-    master[heads + 1, m:m + f] = w_even[:, soft].T
-    master[m:m + f, m:m + f] = corrected
-    master[m + f:-1, m + f:-1] = plain
-    # the 2z Majoranas of exact-zero pairs meet only the term's forms, so
-    # 2z > k forms make its Pfaffian zero by rank
-    zeros = 2 * int(np.count_nonzero(delta == 0.0))
-    kept, lists = [], []
-    for i, (parity, forms) in enumerate(zip(_TERM_PARITY, _TERM_FORMS)):
-        if not parity:
-            lists.append([m + f + a for a in forms])
-        elif zeros <= len(forms):
-            lists.append(list(range(m)) + [m + a for a in forms])
-        else:
-            continue
-        kept.append(i)
-    lengths = np.array([len(r) for r in lists])
-    size = int(lengths.max())
-    rows = np.full((len(lists), size), len(master) - 1)
-    for i, r in enumerate(lists):
-        rows[i, :len(r)] = r
-    k = np.triu(master[rows[:, :, None], rows[:, None, :]], 1)
-    # unit 2 x 2 blocks [[0, 1], [-1, 0]] fill each matrix up to the common size
-    blocks = np.arange(0, size, 2)
-    k[:, blocks, blocks + 1] += blocks >= lengths[:, None]
-    # P = (-i)^N gamma_1 ... gamma_2N; on long thermal chains the stiff
-    # product may underflow to 0, which is then the value of those terms
-    coef = _TERM_COEF[kept] * np.where(
-        _TERM_PARITY[kept], (1, -1j, -1, 1j)[n % 4] * np.prod(1j * delta[stiff]), 1.0)
-    values = coef * pfaffian(k - k.transpose(0, 2, 1))
+    expk, pairs = _pair_product(plain[_PAIR_A, _PAIR_B], delta, w_odd.T, w_even.T)
+    # P = (-i)^N gamma_1 ... gamma_2N.  Every coefficient of the pair product
+    # holds at least N - 3 factors i delta_j, so on long hot chains the
+    # parity terms underflow to 0, their value to double precision
+    values = _TERM_COEF * np.where(
+        _TERM_PARITY, (1, -1j, -1, 1j)[n % 4] * pairs[_TERM_MASK], expk[_TERM_MASK])
     # parts even and odd in c
     parts = np.zeros((2, len(_END_OPERATORS)), dtype=complex)
-    np.add.at(parts, (_TERM_ODD[kept], _TERM_OUT[kept]), values)
+    np.add.at(parts, (_TERM_ODD, _TERM_OUT), values)
     return np.stack([parts[0] + parts[1], parts[0] - parts[1]])
 
 

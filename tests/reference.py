@@ -157,3 +157,37 @@ def qubit_fidelity(rho, sigma):
     det_r = max(float(np.real(np.linalg.det(rho))), 0.0)
     det_s = max(float(np.real(np.linalg.det(sigma))), 0.0)
     return float(np.real(np.trace(rho @ sigma)) + 2.0 * np.sqrt(det_r * det_s))
+
+
+def pfaffian(matrices) -> np.ndarray:
+    """Pfaffians of a stack of antisymmetric matrices of even size, shape
+    (..., m, m).
+
+    Parlett-Reid elimination with partial pivoting, one pass for the whole
+    stack: each step swaps the largest entry below the diagonal of column k
+    into row k + 1 and eliminates with it, O(m^3) per matrix.  A pivot
+    column of zeros makes that Pfaffian exactly 0.
+    """
+    a = np.array(matrices, dtype=complex)
+    shape, m = a.shape[:-2], a.shape[-1]
+    if a.shape[-2] != m or m % 2:
+        raise ValueError(f"expected square matrices of even size, got shape {a.shape}")
+    a = a.reshape(-1, m, m)
+    stack = np.arange(len(a))
+    pf = np.ones(len(a), dtype=complex)
+    for k in range(0, m - 1, 2):
+        piv = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+        pf[piv != k + 1] *= -1.0
+        rows = a[stack, piv].copy()
+        a[stack, piv] = a[:, k + 1]
+        a[:, k + 1] = rows
+        cols = a[stack, :, piv].copy()
+        a[stack, :, piv] = a[:, :, k + 1]
+        a[:, :, k + 1] = cols
+        pivot = a[:, k, k + 1]
+        pf *= pivot
+        # a zero pivot has zeroed pf; divide by 1 so the stack stays finite
+        tau = a[:, k, k + 2:] / np.where(pivot == 0, 1.0, pivot)[:, None]
+        col = a[:, k + 2:, k + 1]
+        a[:, k + 2:, k + 2:] += tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
+    return pf.reshape(shape)

@@ -16,7 +16,7 @@ from xxqst import (
     perfect_profile,
     propagate,
 )
-from xxqst.heisenberg import gaussian_end_expectations, pfaffian
+from xxqst.heisenberg import _pair_product, gaussian_end_expectations
 
 import reference
 
@@ -223,7 +223,7 @@ def _antisymmetric(rng, *shape):
 def test_pfaffian_squares_to_the_determinant(rng):
     for m in range(2, 42, 2):
         stack = _antisymmetric(rng, 4, m, m)
-        pf = pfaffian(stack)
+        pf = reference.pfaffian(stack)
         assert pf.shape == (4,)
         det = np.linalg.det(stack)
         assert np.max(np.abs(pf**2 - det) / np.abs(det)) < 1e-10
@@ -232,28 +232,55 @@ def test_pfaffian_squares_to_the_determinant(rng):
 def test_pfaffian_four_by_four_closed_form(rng):
     a = _antisymmetric(rng, 4, 4)
     closed = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
-    assert abs(pfaffian(a) - closed) < 1e-14
+    assert abs(reference.pfaffian(a) - closed) < 1e-14
     # the first pivot is zero: the largest entry of column 0 is swapped up
     a[0, 1] = a[1, 0] = 0.0
     closed = -a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
-    assert abs(pfaffian(a) - closed) < 1e-14
+    assert abs(reference.pfaffian(a) - closed) < 1e-14
 
 
 def test_pfaffian_of_singular_matrices_is_zero(rng):
     a = _antisymmetric(rng, 6, 6)
     a[:, 0] = a[0, :] = 0.0
-    assert pfaffian(a) == 0.0
+    assert reference.pfaffian(a) == 0.0
     # rank 2: u v^T - v u^T, exact in binary arithmetic
     u = np.array([1.0, 2.0, 0.0, 1.0, 0.0, 3.0])
     v = np.array([0.0, 1.0, 1.0, 2.0, 1.0, 0.0])
-    assert pfaffian(np.outer(u, v) - np.outer(v, u)) == 0.0
-    assert pfaffian(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
+    assert reference.pfaffian(np.outer(u, v) - np.outer(v, u)) == 0.0
+    assert reference.pfaffian(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_pfaffian_rejects_odd_or_non_square_shapes():
     for shape in ((3, 3), (2, 4), (5, 3, 3)):
         with pytest.raises(ValueError, match="even size"):
-            pfaffian(np.zeros(shape))
+            reference.pfaffian(np.zeros(shape))
+
+
+def test_pair_product_matches_the_reference_pfaffians(rng):
+    # coefficient of e_S = Pf of the moments of the pairs, then the sorted
+    # forms S; an even mask of the seven forms is stored at its low six bits
+    rows, cols = np.triu_indices(7, 1)
+    for case in range(40):
+        k = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        n_pairs = case % 5
+        delta = rng.choice([0.0, 1e-9, 1.0, -1.0, rng.uniform(-1.0, 1.0)], size=n_pairs)
+        u, v = rng.normal(size=(2, n_pairs, 7)) + 1j * rng.normal(size=(2, n_pairs, 7))
+        expk, product = _pair_product(k[rows, cols], delta, u, v)
+        if n_pairs == 0:
+            assert np.array_equal(expk, product)
+        for mask in range(128):
+            forms = [a for a in range(7) if mask >> a & 1]
+            if len(forms) % 2:
+                continue
+            m = 2 * n_pairs + len(forms)
+            moments = np.zeros((m, m), dtype=complex)
+            heads = np.arange(0, 2 * n_pairs, 2)
+            moments[heads, heads + 1] = 1j * delta
+            moments[heads, 2 * n_pairs:] = u[:, forms]
+            moments[heads + 1, 2 * n_pairs:] = v[:, forms]
+            moments[2 * n_pairs:, 2 * n_pairs:] = np.triu(k[np.ix_(forms, forms)], 1)
+            expected = reference.pfaffian(moments - moments.T) if m else 1.0
+            assert abs(product[mask & 63] - expected) <= 1e-12 * abs(expected)
 
 
 def test_gaussian_end_expectations_checks_the_medium_shape():

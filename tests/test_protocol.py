@@ -10,6 +10,7 @@ from xxqst import (
     CouplingProfile,
     DensityMatrix,
     InternalConsistencyError,
+    Propagator,
     ProtocolConfig,
     ResourceLimitError,
     StateVector,
@@ -17,6 +18,7 @@ from xxqst import (
     axial_state,
     bloch_state,
     boundary_profile,
+    build_generator,
     evolve,
     perfect_profile,
     protocol,
@@ -266,6 +268,37 @@ def test_perfect_transfer_past_the_dense_limit_on_gaussian_mediums(n):
                 assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
                 kept += 1
         assert kept >= 2
+
+
+@pytest.mark.parametrize("n, eta, t", [(200, 0.7, 55.0), (201, 0.6, 61.0)])
+def test_axial_average_on_long_boundary_chains_is_medium_independent(n, eta, t):
+    # at beta = 0.05 nearly every medium pair has |delta| << 1; for any
+    # medium the axial average of the channel is 1/2 + tr T / 6 with
+    # tr T = 3 alpha_N^2 + (-1)^N u_11 u_NN, u = e^{-iht}
+    from xxqst.protocol import PROB_FLOOR, _finish_branch, _gaussian_outcomes, _parse_medium
+
+    profile = boundary_profile(n, eta)
+    prop = Propagator(build_generator(profile))
+    phases = np.exp(-1j * prop.eigenvalues * t)
+    u_11, u_nn = (prop._v[0] ** 2) @ phases, (prop._v[-1] ** 2) @ phases
+    expected = 0.5 + prop.end_weights(t) / 2 + (-1) ** n * (u_11 * u_nn).real / 6
+    mediums = [("thermal:0.05", "subchain"), ("all-zero", "subchain"),
+               ("maximally-mixed", "subchain"), ("thermal:0.3", "fullchain")]
+    for medium, variant in mediums:
+        kind, beta, _ = _parse_medium(medium)
+        total = 0.0
+        for name in AXIAL_NAMES:
+            config = ProtocolConfig(profile, axial_state(name), medium=medium,
+                                    evolution_time=t, thermal_variant=variant)
+            for o_pre, outcomes in _gaussian_outcomes(config, kind, beta).items():
+                for o_post, (p_post, site_n) in outcomes.items():
+                    if p_post < PROB_FLOOR:
+                        continue
+                    branch = _finish_branch(config, site_n / p_post, o_pre, o_post, p_post,
+                                            t, True)
+                    # the default end state |0> gives p_pre = 1/2 for either outcome
+                    total += 0.5 * p_post * branch.fidelity_out
+        assert abs(total / len(AXIAL_NAMES) - expected) < 1e-12
 
 
 def _explicit_medium(profile, medium, variant):

@@ -7,7 +7,8 @@ search, and `verify` prints the operator-identity table.  Every output
 embeds the run configuration and the package version; with --no-timestamp
 reruns are byte-identical (the determinism contract the tests pin).
 
-Exit codes: 0 success, 1 failed verification checks, 2 usage errors,
+Exit codes: 0 success, 1 failed verification checks or an `optimize`
+search that did not converge (its JSON is still written), 2 usage errors,
 3 resource limits and failed allocations, 4 internal consistency failures.
 """
 from __future__ import annotations
@@ -237,6 +238,10 @@ def _cmd_optimize(args) -> int:
         )
         payload["cross_validation"] = report.to_dict()
     _emit(args, _json_document(args, config, payload))
+    if not result.refinement.converged:
+        print(f"error: the search did not converge (best estimate {result.estimate:.3g})",
+              file=sys.stderr)
+        return 1
     return 0
 
 

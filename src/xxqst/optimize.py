@@ -3,9 +3,11 @@
 For chains that are uniform except for weakened end bonds, transfer is
 never perfect; the cheap surrogate objective is the squared weight of the
 fully transferred operator string, evaluated with the coefficient engine.
-A coarse grid sweep locates the basin, a nested golden-section search
+A coarse grid sweep locates the basin, a nested Brent line search
 (coupling strength outside, readout time inside) polishes it, and the
-exact protocol average cross-checks the surrogate.
+exact protocol average cross-checks the surrogate.  A best estimate below
+_ESTIMATE_FLOOR is roundoff, not transfer, and is reported as not
+converged.
 """
 from __future__ import annotations
 
@@ -33,10 +35,13 @@ __all__ = [
 DEFAULT_ETA_RANGE = (0.3, 1.5)
 DEFAULT_T_RANGE = (0.5, 4.0)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# 1 - 1/phi, the golden-section fraction of the larger part of the bracket
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 # searches per level before a walk that keeps landing on a window edge
 # gives up and reports converged=False
 _MAX_ROUNDS = 20
+# an alpha_N^2 below this is roundoff, not transfer
+_ESTIMATE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,9 @@ class RefineResult:
     improved: bool
     rounds: int
     trace: tuple[tuple[float, float, float], ...]
-    converged: bool              # False only when the re-centring bound ran out
+    # False when the re-centring bound ran out or the estimate is below
+    # _ESTIMATE_FLOOR
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -157,31 +164,78 @@ def sweep(
     return result
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Best probe (x, f(x)) of a golden-section search for the maximum of f
-    on [lo, hi], assuming one interior hump; the last bracket is at most
-    tol wide, or as narrow as float spacing allows."""
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _line_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Best probe (x, f(x)) of Brent's search for the maximum of f on
+    [lo, hi] (Brent, Algorithms for Minimization without Derivatives, 1973,
+    in the bounded form of fminbound), assuming one interior hump.
+
+    Each step is the parabola through the three best probes when its vertex
+    lies inside the bracket and the step is shorter than half the step
+    before last, and a golden-section step into the larger part of the
+    bracket otherwise; no probe comes closer than tol/3 to the best one.
+    Every probe lies inside [lo, hi].  The search stops once every point of
+    the bracket lies within 2 tol/3 of the best probe, or within two float
+    spacings of it.  Each probe narrows the bracket, so it ends on any f.
+    """
     a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    # a tol below the float spacing would otherwise cycle on two neighbours
-    while b - a > tol and a < c < d < b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+    x = w = v = a + _CGOLD * (b - a)      # best, second best, third best
+    fx = fw = fv = f(x)
+    step = step_before = 0.0
+    while True:
+        # at least one float spacing, so every probe differs from x
+        tol1 = max(tol / 3.0, math.ulp(x))
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(step_before) > tol1:
+            # vertex of the parabola through (x, fx), (w, fw), (v, fv) at x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            limit, step_before = step_before, step
+            # comparisons with a nan are False, so a bad fit takes the golden step
+            if abs(p) < abs(0.5 * q * limit) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                if x + step - a < 2.0 * tol1 or b - (x + step) < 2.0 * tol1:
+                    step = math.copysign(tol1, mid - x)
+                golden = False
+        if golden:
+            step_before = (a if x >= mid else b) - x
+            step = _CGOLD * step_before
+        u = x + math.copysign(max(abs(step), tol1), step)
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _climb(f, x: float, window: float, tol: float, floor: float = -math.inf):
-    """Local maximum of f reached from x by golden section on x +- window
-    (clipped below at floor).  While the maximum lands within tol of a
-    window edge, the window is re-centred on it and searched again.
+    """Local maximum of f reached from x by Brent line search on x +- window
+    (clipped below at floor, or at x when x lies under it, so the bracket is
+    never reversed).  While the maximum lands within tol of a window edge,
+    the window is re-centred on it and searched again.
 
     Returns the path [(x, f(x)), ...], the start and then the best point
     after each search, and whether the walk stopped on an interior or
@@ -190,8 +244,8 @@ def _climb(f, x: float, window: float, tol: float, floor: float = -math.inf):
     """
     path = [(x, f(x))]
     for _ in range(_MAX_ROUNDS):
-        lo, hi = max(x - window, floor), x + window
-        cand, value = _golden_max(f, lo, hi, tol)
+        lo, hi = max(x - window, min(floor, x)), x + window
+        cand, value = _line_max(f, lo, hi, tol)
         moved = value > path[-1][1]
         path.append((cand, value) if moved else path[-1])
         x = path[-1][0]
@@ -207,7 +261,7 @@ def refine(
     eta_window: float = 0.2,
     t_window: float = 0.4,
 ) -> RefineResult:
-    """Polish a sweep argmax by a nested golden-section search.
+    """Polish a sweep argmax by a nested Brent line search.
 
     The outer search runs over the coupling strength eta and scores each
     eta by the best readout time near the start time (``refine_time`` on
@@ -216,9 +270,13 @@ def refine(
     and re-centre it while the maximum lands on an edge.  The trace holds
     the start and the best point after each outer search.  A start the
     search cannot improve is returned unchanged with improved=False.
+    `tolerance` and both windows must be finite and positive.  The result
+    is not converged when the final search over times is not, which
+    covers an estimate below _ESTIMATE_FLOOR.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    for name, value in (("tolerance", tolerance), ("eta_window", eta_window),
+                        ("t_window", t_window)):
+        _check_positive(name, value)
     eta, t = float(start_point[0]), float(start_point[1])
     if eta <= 0:
         raise ValueError(f"start eta must be positive, got {eta}")
@@ -248,10 +306,12 @@ def refine_time(
     tolerance: float = 1e-5,
     window: float = 0.4,
 ) -> RefineResult:
-    """Golden-section search over readout time only, couplings fixed, on
-    one propagator; the window is re-centred as in ``refine``."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    """Brent line search over readout time only, couplings fixed, on one
+    propagator; the window is re-centred as in ``refine``.  `tolerance` and
+    `window` must be finite and positive.  The result is not converged when
+    the re-centring bound ran out or the estimate is below _ESTIMATE_FLOOR."""
+    _check_positive("tolerance", tolerance)
+    _check_positive("window", window)
     prop = Propagator(build_generator(profile))
     path, converged = _climb(prop.end_weights, float(start_time), window, tolerance / 4.0)
     t, value = path[-1]
@@ -259,7 +319,7 @@ def refine_time(
         n_sites=profile.n_sites, eta=math.nan, time=float(t),
         estimate=float(value), improved=value > path[0][1],
         rounds=len(path) - 1, trace=tuple((math.nan, x, v) for x, v in path),
-        converged=converged,
+        converged=converged and value >= _ESTIMATE_FLOOR,
     )
 
 
@@ -271,6 +331,8 @@ def optimize_boundary(
     tolerance: float = 1e-5,
 ) -> OptimizationResult:
     """Sweep then refine; the standard entry point for the boundary family."""
+    # before the sweep, whose cost a bad tolerance would waste
+    _check_positive("tolerance", tolerance)
     grid = sweep(n, eta_range, t_range, resolution)
     polish = refine(n, (grid.best_eta, grid.best_time), tolerance)
     return OptimizationResult(sweep=grid, refinement=polish)

@@ -5,6 +5,8 @@ scipy's dense matrix exponential, without importing the package, so that
 agreement between the two is evidence and not circularity.  Site 1 is the
 leftmost tensor factor (most significant bit).
 """
+from itertools import combinations
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -191,3 +193,51 @@ def pfaffian(matrices) -> np.ndarray:
         col = a[:, k + 2:, k + 1]
         a[:, k + 2:, k + 2:] += tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
     return pf.reshape(shape)
+
+
+def slater_end_expectations(couplings, t, bloch, end_phase, orbitals=()):
+    """<X_1>, <X_N>, <Y_N>, <Z_N>, <X_1 X_N>, <X_1 Y_N>, <X_1 Z_N> at time t
+    for rho_1 (x) M (x) |kappa><kappa|, kappa = (|0> + c|1>)/sqrt(2) with
+    c = end_phase, rho_1 the qubit with Bloch vector ``bloch``, and M the
+    interior state with one excitation in each of ``orbitals`` (orthonormal
+    vectors on sites 2..N-1) and none elsewhere; no orbitals is the
+    all-zero medium.
+
+    The chain conserves the number of excitations, which move as free
+    fermions that cannot pass each other: a state with excitations in the
+    orbitals phi_1, ..., phi_k, listed in site order, has amplitude
+    det((u phi)[T]) on the sites T (sorted), u = e^{-iht} and h the hopping
+    matrix with entries 2 J_i.  So the state stays in the span of basis
+    states with at most k + 2 excitations (1 + N + N(N-1)/2 of them for the
+    all-zero medium), and long chains are in reach.  The expectations are
+    read from the reduced state of sites 1 and N.
+    """
+    n = len(couplings) + 1
+    h = np.zeros((n, n))
+    for i, j_val in enumerate(couplings):
+        h[i, i + 1] = h[i + 1, i] = 2.0 * j_val
+    u = expm(-1j * t * h)
+    ends = np.eye(n)[:, [0, -1]]
+    medium = np.zeros((n, len(orbitals)), dtype=complex)
+    for j, orbital in enumerate(orbitals):
+        medium[1:-1, j] = orbital
+    interior = [s for k in range(len(orbitals) + 3) for s in combinations(range(1, n - 1), k)]
+    position = {s: i for i, s in enumerate(interior)}
+    # amplitude[S, (a, b), (a0, b0)]: the basis state |a> (x) |S> (x) |b>, S
+    # the occupied interior sites, in the image of |a0> (x) M (x) |b0>
+    amplitude = np.zeros((len(interior), 4, 4), dtype=complex)
+    for col, (a0, b0) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        evolved = u @ np.column_stack([ends[:, :a0], medium, ends[:, 2 - b0:]])
+        k = evolved.shape[1]
+        targets = list(combinations(range(n), k))
+        dets = np.linalg.det(evolved[np.array(targets, dtype=int).reshape(len(targets), k)])
+        for sites, det in zip(targets, dets):
+            a, b = int(0 in sites), int(n - 1 in sites)
+            amplitude[position[sites[a:k - b]], 2 * a + b, col] = det
+    x, y, z = bloch
+    kappa = np.array([1.0, end_phase]) / np.sqrt(2.0)
+    rho_0 = np.kron((PAULI["I"] + x * PAULI["X"] + y * PAULI["Y"] + z * PAULI["Z"]) / 2.0,
+                    np.outer(kappa, kappa.conj()))
+    ends_state = np.einsum("sac,cd,sbd->ab", amplitude, rho_0, amplitude.conj())
+    pairs = ("XI", "IX", "IY", "IZ", "XX", "XY", "XZ")
+    return np.array([np.real(np.trace(np.kron(PAULI[p], PAULI[q]) @ ends_state)) for p, q in pairs])

@@ -299,6 +299,26 @@ def test_optimize_with_cross_validation(capsys):
     assert abs(report["gap"]) < 1e-4
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-0.1"])
+def test_optimize_bad_tolerance_is_usage_error(capsys, tolerance):
+    code, out, err = run_cli(capsys, "optimize", "--n", "5", "--resolution", "16",
+                             "--tolerance", tolerance, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be finite and positive" in err
+
+
+def test_optimize_roundoff_optimum_exits_1(capsys):
+    # at n = 100 the default t range holds no transfer, only roundoff
+    code, out, err = run_cli(capsys, "optimize", "--n", "100", "--no-timestamp")
+    assert code == 1
+    optimum = json.loads(out)["optimum"]
+    assert optimum["converged"] is False
+    assert optimum["estimate"] < 1e-12
+    assert len(err.splitlines()) == 1
+    assert "did not converge" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

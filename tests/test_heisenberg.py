@@ -8,13 +8,16 @@ from xxqst import (
     CouplingProfile,
     InternalConsistencyError,
     Propagator,
+    StateVector,
     boundary_profile,
     build_generator,
     coefficient_trace,
     estimate_fidelity,
+    evolve,
     mirror_propagate,
     perfect_profile,
     propagate,
+    reduced_state,
 )
 from xxqst.heisenberg import _pair_product, gaussian_end_expectations
 
@@ -287,3 +290,69 @@ def test_gaussian_end_expectations_checks_the_medium_shape():
     prop = Propagator(build_generator(perfect_profile(5)))
     with pytest.raises(ValueError, match="3 x 3"):
         gaussian_end_expectations(prop, 0.3, (0, 0, 1), np.zeros((5, 5)), 1j)
+
+
+def _random_end_states(rng):
+    """A mixed site-1 Bloch vector and a unit end phase c."""
+    bloch = rng.normal(size=3)
+    bloch *= rng.uniform(0.2, 1.0) / np.linalg.norm(bloch)
+    return bloch, np.exp(2j * np.pi * rng.uniform())
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_slater_reference_matches_the_oracle(n):
+    # the reference works in the sectors of at most three excitations; the
+    # oracle evolves the whole 2**n state
+    rng = np.random.default_rng(4100 + n)
+    couplings = tuple(rng.uniform(0.3, 1.5, n - 1))
+    t = rng.uniform(0.2, 5.0)
+    bloch, c = _random_end_states(rng)
+    orbital = rng.normal(size=n - 2)
+    cases = [()]
+    if n > 2:
+        cases.append((orbital / np.linalg.norm(orbital),))
+    for orbitals in cases:
+        # the interior state: vacuum, or one excitation sum_m phi_m |1_m>
+        medium = np.zeros(2 ** (n - 2))
+        if orbitals:
+            medium[1 << np.arange(n - 3, -1, -1)] = orbitals[0]
+        else:
+            medium[0] = 1.0
+        kappa = np.array([1.0, c]) / np.sqrt(2.0)
+        site_1 = (np.eye(2) + sum(v * reference.PAULI[l] for v, l in zip(bloch, "XYZ"))) / 2.0
+        # the mixed site-1 state as a mixture of its two eigenvectors
+        ends = np.zeros((4, 4), dtype=complex)
+        weights, kets = np.linalg.eigh(site_1)
+        for weight, ket in zip(weights, kets.T):
+            pure = StateVector(n, np.kron(np.kron(ket, medium), kappa))
+            evolved = evolve(pure, CouplingProfile(n, couplings), t)
+            ends += weight * reduced_state(evolved, (1, n)).matrix
+        expected = [np.real(np.trace(np.kron(reference.PAULI[p], reference.PAULI[q]) @ ends))
+                    for p, q in ("XI", "IX", "IY", "IZ", "XX", "XY", "XZ")]
+        got = reference.slater_end_expectations(couplings, t, bloch, c, orbitals)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n, eta, t", [(60, 0.7, 30.0), (61, 0.6, 31.0)])
+def test_gaussian_end_expectations_match_slater_states_on_long_chains(n, eta, t):
+    # Independent values for every term at long N, parity terms included.
+    # The all-zero medium has delta = 1 on each interior pair, so the parity
+    # terms are O(1), but each pair's omega vanishes.  A weight p of one
+    # excitation in an orbital phi gives that pair delta = 1 - 2p and a
+    # nonzero omega; its state is (1 - p) vacuum + p phi, so the reference
+    # averages the two.
+    rng = np.random.default_rng(6100 + n)
+    profile = boundary_profile(n, eta)
+    prop = Propagator(build_generator(profile))
+    bloch, c = _random_end_states(rng)
+    phi = rng.normal(size=n - 2)
+    phi /= np.linalg.norm(phi)
+    p = 0.3
+    vacuum, filled = (
+        np.array([reference.slater_end_expectations(profile.couplings, t, bloch, phase, orbitals)
+                  for phase in (c, -c)])
+        for orbitals in ((), (phi,)))
+    all_zero = gaussian_end_expectations(prop, t, bloch, np.zeros((n - 2, n - 2)), c)
+    assert np.max(np.abs(all_zero - vacuum)) < 1e-12
+    one_mode = gaussian_end_expectations(prop, t, bloch, p * np.outer(phi, phi), c)
+    assert np.max(np.abs(one_mode - ((1 - p) * vacuum + p * filled))) < 1e-12

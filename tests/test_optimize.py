@@ -13,6 +13,8 @@ from xxqst import (
     refine_time,
     sweep,
 )
+from xxqst import optimize
+from xxqst.heisenberg import Propagator
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +177,114 @@ def test_refine_time_recovers_revival():
     assert math.isnan(polish.eta)
 
 
+def test_refine_rejects_bad_search_arguments():
+    # a tolerance or window that is not finite and positive would leave an
+    # empty, reversed or unbounded bracket
+    for bad in (0.0, -0.1, math.nan, math.inf):
+        for kwargs in ({"tolerance": bad}, {"eta_window": bad}, {"t_window": bad}):
+            with pytest.raises(ValueError, match="finite and positive"):
+                refine(5, (0.8, 1.9), **kwargs)
+        for kwargs in ({"tolerance": bad}, {"window": bad}):
+            with pytest.raises(ValueError, match="finite and positive"):
+                refine_time(perfect_profile(5), 0.7, **kwargs)
+
+
+def test_line_searches_see_only_ordered_brackets(monkeypatch):
+    brackets = []
+    line_max = optimize._line_max
+
+    def recording(f, lo, hi, tol):
+        brackets.append((lo, hi))
+        return line_max(f, lo, hi, tol)
+
+    monkeypatch.setattr(optimize, "_line_max", recording)
+    # a start eta below the tolerance floor with a window too narrow to reach it
+    polish = refine(5, (1e-7, 1.9), tolerance=1e-5, eta_window=1e-9, t_window=0.1)
+    assert polish.eta >= 1e-7
+    refine(5, (0.8165, 1.92374), tolerance=1e-18, eta_window=1e-18, t_window=1e-18)
+    assert brackets
+    assert all(math.isfinite(lo) and lo <= hi for lo, hi in brackets)
+
+
+# ---------------------------------------------------------------------------
+# the line search
+# ---------------------------------------------------------------------------
+
+def _probed(f, lo, hi, tol, cap=200):
+    """Run the line search on f, recording probes; fail past `cap` probes."""
+    probes = []
+
+    def g(x):
+        probes.append(x)
+        assert len(probes) <= cap, "line search did not terminate"
+        return f(x)
+
+    best = optimize._line_max(g, lo, hi, tol)
+    assert all(lo <= x <= hi for x in probes)
+    return best, probes
+
+
+def test_line_max_finds_a_known_maximum():
+    for tol in (1e-3, 1e-5, 1e-7):
+        (x, fx), probes = _probed(lambda x: math.cos(x - 0.3), -1.0, 2.0, tol)
+        assert abs(x - 0.3) <= tol
+        assert fx == math.cos(x - 0.3)
+        # golden section alone takes 19, 29 and 38 probes here
+        assert len(probes) <= 12
+
+
+def test_line_max_terminates_on_a_constant():
+    (x, fx), probes = _probed(lambda x: 1.0, -1.0, 2.0, 1e-8)
+    assert fx == 1.0
+    assert x in probes
+
+
+def test_line_max_terminates_on_noise():
+    rng = np.random.default_rng(4242)
+    for tol in (1e-3, 1e-8, 1e-18):
+        values = {}
+
+        def noise(x):
+            return values.setdefault(x, rng.random())
+
+        (x, fx), probes = _probed(noise, -1.0, 2.0, tol)
+        # the best probe, not the last one
+        assert fx == max(values[p] for p in probes) == values[x]
+
+
+def test_line_max_terminates_on_a_sub_ulp_bracket():
+    lo = 0.8165
+    for hi in (lo, math.nextafter(lo, 1.0), lo + 4 * math.ulp(lo)):
+        (x, fx), probes = _probed(lambda x: -x, lo, hi, 1e-18)
+        assert lo <= x <= hi
+        assert len(probes) <= 4
+
+
+@pytest.fixture
+def end_weight_calls(monkeypatch):
+    """The times of every Propagator.end_weights call from here on."""
+    calls = []
+    end_weights = Propagator.end_weights
+
+    def counted(self, times):
+        calls.append(times)
+        return end_weights(self, times)
+
+    monkeypatch.setattr(Propagator, "end_weights", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 12])
+def test_refine_probe_count(end_weight_calls, n):
+    # each probe is one end_weights call; the nested golden-section walk
+    # this replaced took 29 x 29 = 841 at every n here
+    grid = sweep(n)
+    end_weight_calls.clear()
+    polish = refine(n, (grid.best_eta, grid.best_time))
+    assert polish.converged
+    assert len(end_weight_calls) <= 150
+
+
 # ---------------------------------------------------------------------------
 # end to end and cross validation
 # ---------------------------------------------------------------------------
@@ -196,6 +306,19 @@ def test_optimize_boundary_flags_grid_edge(n, on_edge):
     payload = optimize_boundary(n).to_dict()
     assert payload["grid_on_edge"] is on_edge
     assert payload["converged"] is True
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_optimize_boundary_flags_roundoff_optima(end_weight_calls, n):
+    # the default t range ends long before the first arrival, so the
+    # objective is roundoff noise; the search must still end, and the
+    # result must say that it found no transfer
+    result = optimize_boundary(n)
+    assert result.estimate < optimize._ESTIMATE_FLOOR
+    assert result.refinement.converged is False
+    assert result.to_dict()["converged"] is False
+    # 96 grid rows, then the refinement
+    assert len(end_weight_calls) - 96 <= 1500
 
 
 def test_cross_validate_perfect_chain():

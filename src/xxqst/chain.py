@@ -124,9 +124,6 @@ class Generator:
             m[i, i + 1] = -signed
         return m
 
-    def reversed(self) -> "Generator":
-        return Generator(self.dimension, self.subdiagonal[::-1])
-
 
 def build_generator(profile: CouplingProfile) -> Generator:
     return Generator(profile.n_sites, tuple(2.0 * c for c in profile.couplings))

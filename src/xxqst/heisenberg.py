@@ -45,7 +45,14 @@ __all__ = [
     "gaussian_end_expectations",
 ]
 
-_IMAG_TOL = 1e-12
+# Roundoff model of the imaginary residue of zeta o u: each phase w_k t
+# carries an error of about eps |w_k t| and V is orthogonal, so a correct
+# result is real to about eps (1 + max|w| |t|).  Measured residues reach 5.6
+# times that on the CLI's ~1000-site traces over [0, pi/4], 7.6 on random
+# 2..64-site chains over [-4, 4] and 0.09 at late revivals (t = 158 at
+# N = 1000); a broken phase convention leaves O(1).  64 keeps a margin of 8.
+_RESIDUE_FACTOR = 64.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -85,14 +92,14 @@ class Propagator:
     """Exact coefficient propagator for one generator, reusable across times.
 
     The staggered antisymmetric generator M is similar to a real symmetric
-    tridiagonal matrix A with off-diagonal g_i = 2 J_i through a diagonal
-    phase matrix, so
-
-        exp(M t) e_1 = zeta * (V exp(-i w t) V^T e_1),
-
-    where A = V diag(w) V^T and zeta alternates (1, i, 1, i, ...).  The
-    result is real up to roundoff; a residue above 1e-12 means a convention
-    violation and raises ``InternalConsistencyError``.
+    tridiagonal matrix A = V diag(w) V^T with off-diagonal g_i = 2 J_i
+    through the phases zeta = (1, i, 1, i, ...).  Every number of this engine
+    comes from the single-particle propagator u(t) = V exp(-i w t) V^T, which
+    :meth:`entries` evaluates: exp(M t) e_1 = zeta o u[0, :] (X_1, forward
+    strings), zeta o u[N-1, ::-1] (X_N, mirrored strings) and alpha_N(t) =
+    zeta_N u_1N.  These are real up to roundoff; a residue past the roundoff
+    model 64 eps (1 + max|w| |t|) means a convention violation and raises
+    ``InternalConsistencyError``.
     """
 
     def __init__(self, generator: Generator):
@@ -105,57 +112,72 @@ class Propagator:
             raise InternalConsistencyError(f"tridiagonal eigensolver dstevd returned info={info}")
         self._w = w
         self._v = v
-        self._c0 = v[0, :].copy()
+        self._w_max = float(max(-w[0], w[-1]))  # dstevd sorts w ascending
         self._zeta = np.ones(n, dtype=complex)
         self._zeta[1::2] = 1j
-        # alpha_N(t) = exp(t _phase) @ _end, the last row of coefficients_many
-        self._phase = -1j * w
-        self._end = self._zeta[-1] * v[-1, :] * self._c0
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the Hermitian matrix i M (equals the spectrum of A)."""
         return self._w.copy()
 
+    def entries(self, times, rows, cols=None):
+        """u(t)[rows, cols] for u(t) = e^{-iht} = V exp(-i w t) V^T: rows an
+        int or a list of ints, cols also, or None for all.  A 1-D array of
+        finite times stacks the results along a leading axis."""
+        t = np.asarray(times, dtype=float)
+        if t.ndim == 0 and math.isfinite(t):
+            # as a Python float: the profile search probes one time per
+            # call, where 0-d array arithmetic costs more than the product
+            phases = np.exp(-1j * float(t) * self._w)
+        elif t.ndim == 1 and np.isfinite(t).all():
+            phases = np.exp(np.multiply.outer(t, -1j * self._w))
+        else:
+            raise ValueError(f"times must be a finite scalar or 1-D array, got {times!r}")
+        left = self._v[rows]
+        right = self._v if cols is None else self._v[cols]
+        if left.ndim == right.ndim == 1:
+            # one entry: weight the phases once, O(N) per time
+            return phases.dot(left * right)
+        # rebinding frees the phases before the product's complex copy of V
+        phases = left * (phases[:, None, :] if phases.ndim == left.ndim == 2 else phases)
+        return phases @ right.T
+
+    def _real(self, values, times, what: str):
+        """Real part of entries of zeta o u at times (leading axis) after the
+        residue check; a float for one entry."""
+        residue = abs(values.imag).T  # the time axis last, against the bounds
+        floor = _RESIDUE_FACTOR * _EPS
+        bound = floor + floor * self._w_max * np.abs(times)
+        within = residue <= bound
+        # NaN fails the test; a lone probe skips .all(), which costs microseconds
+        if not (within.all() if within.ndim else within):
+            raise InternalConsistencyError(
+                f"{what} acquired imaginary residue {np.max(residue):.3e}, "
+                f"{np.max(residue / bound):.3g} times its roundoff bound")
+        real = values.real
+        return real if real.ndim else float(real)
+
+    def _strings(self, times, origin: str):
+        """zeta o u[0, :], X_1 in the forward strings ("site1"), or
+        zeta o u[N-1, ::-1], X_N in the mirrored strings ("siteN")."""
+        if origin not in ("site1", "siteN"):
+            raise ValueError(f"unknown origin {origin!r}")
+        row = self.entries(times, 0) if origin == "site1" else self.entries(times, -1)[..., ::-1]
+        return np.ascontiguousarray(self._real(self._zeta * row, times, "coefficients"))
+
     def coefficients(self, t: float) -> np.ndarray:
-        t = float(t)
-        if not math.isfinite(t):
-            raise ValueError(f"time must be finite, got {t}")
-        return self.coefficients_many(np.asarray([t], dtype=float))[0]
+        return self._strings(t, "site1")
 
     def coefficients_many(self, times: np.ndarray) -> np.ndarray:
         """Coefficient rows for several times at once, shape (nt, n)."""
-        times = np.asarray(times, dtype=float)
-        phases = np.exp(-1j * np.outer(self._w, times)) * self._c0[:, None]
-        raw = self._zeta[:, None] * (self._v @ phases)
-        residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-        if residue > _IMAG_TOL:
-            raise InternalConsistencyError(
-                f"coefficients acquired imaginary residue {residue:.3e}"
-            )
-        return np.ascontiguousarray(raw.real.T)
+        return self._strings(times, "site1")
 
     def end_weights(self, times):
-        """alpha_N(t)^2, the square of the last coefficient, in O(N) per time:
-        a float for a scalar time, an array for a 1-D array of times."""
-        if np.ndim(times) == 0:
-            # one probe time, the search's hot path: no array reductions
-            t = float(times)
-            if not math.isfinite(t):
-                raise ValueError(f"time must be finite, got {t}")
-            raw = complex(np.exp(t * self._phase) @ self._end)
-            residue = abs(raw.imag)
-        else:
-            t = np.asarray(times, dtype=float)
-            if not np.isfinite(t).all():
-                raise ValueError(f"times must be finite, got {t}")
-            raw = np.exp(np.multiply.outer(t, self._phase)) @ self._end
-            residue = float(np.abs(raw.imag).max(initial=0.0))
-        if residue > _IMAG_TOL:
-            raise InternalConsistencyError(
-                f"end amplitude acquired imaginary residue {residue:.3e}"
-            )
-        return raw.real**2
+        """alpha_N(t)^2 = (zeta_N u_1N)^2, in O(N) per time: a float for a
+        scalar time, an array for a 1-D array of times."""
+        amplitude = self._zeta[-1] * self.entries(times, 0, -1)
+        return self._real(amplitude, times, "end amplitude") ** 2
 
     def thermal_correlation(self, beta: float) -> np.ndarray:
         """<a_i^dag a_j> in the Gibbs state exp(-beta H)/Z of this chain, a_j
@@ -311,18 +333,14 @@ def gaussian_end_expectations(
     terms linear in c flip sign with it, so one evaluation serves both rows.
     """
     n = propagator.generator.dimension
-    t = float(time)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
     corr = np.asarray(medium_correlation, dtype=float)
     if corr.shape != (n - 2, n - 2):
         raise ValueError(f"expected a {n - 2} x {n - 2} medium correlation, got shape {corr.shape}")
     x, y, z = (float(v) for v in bloch)
     c = complex(end_phase)
-    v = propagator._v
     # rows 1 and N of u = e^{-iht}; gamma(t) = R gamma with the 2 x 2 blocks
     # [[Re u_jl, -Im u_jl], [Im u_jl, Re u_jl]]
-    ends = (v[[0, -1]] * np.exp(t * propagator._phase)) @ v.T
+    ends = propagator.entries(time, [0, n - 1])
     # each form's weights on gamma_{2j-1} (odd) and gamma_{2j} (even), a row per form
     odd, even = np.zeros((2, len(_FORMS), n))
     odd[0, 0] = z
@@ -364,10 +382,11 @@ def propagate(generator: Generator, time: float) -> CoefficientVector:
 def mirror_propagate(generator: Generator, time: float) -> CoefficientVector:
     """Coefficients of X_N(t) in the mirrored string basis.
 
-    Equivalent to forward propagation with the subdiagonal reversed; for
-    centro-symmetric profiles the two families coincide.
+    Equivalent to forward propagation with the subdiagonal reversed, from
+    the same eigensystem; for centro-symmetric profiles the two families
+    coincide.
     """
-    values = Propagator(generator.reversed()).coefficients(float(time))
+    values = Propagator(generator)._strings(float(time), "siteN")
     return CoefficientVector(float(time), values, "siteN")
 
 
@@ -383,13 +402,8 @@ def coefficient_trace(
     t_max = float(t_max)
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    generator = build_generator(profile)
-    if origin == "siteN":
-        generator = generator.reversed()
-    elif origin != "site1":
-        raise ValueError(f"unknown origin {origin!r}")
     times = np.linspace(0.0, t_max, steps)
-    values = Propagator(generator).coefficients_many(times)
+    values = Propagator(build_generator(profile))._strings(times, origin)
     return CoefficientTrace(times, values, origin)
 
 

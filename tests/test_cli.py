@@ -345,6 +345,13 @@ def test_verify_non_finite_time_is_usage_error(capsys):
     assert "finite" in err
 
 
+def test_verify_past_the_dense_conjugation_limit_exit_code(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "9", "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    assert "8 sites" in err
+
+
 def test_verify_identity_alias(capsys):
     code, out, _ = run_cli(capsys, "identity", "--n", "4", "--no-timestamp")
     assert code == 0

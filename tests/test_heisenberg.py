@@ -90,6 +90,18 @@ def test_mirror_differs_for_asymmetric_profile():
     assert mirror_propagate(gen, 0.0).values[0] == pytest.approx(1.0)
 
 
+def test_mirror_equals_forward_propagation_on_the_reversed_profile(rng):
+    # one eigensystem gives both families: zeta o u[N-1, ::-1] against a
+    # second eigensystem of the reversed chain
+    for n in list(range(2, 65)) + [1000]:
+        profile = CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))
+        t = float(rng.uniform(0.0, 4.0))
+        gen, back = build_generator(profile), build_generator(profile.reversed())
+        assert np.max(np.abs(mirror_propagate(gen, t).values - propagate(back, t).values)) < 1e-13
+        mirrored = coefficient_trace(profile, t, 3, origin="siteN").values
+        assert np.max(np.abs(mirrored - coefficient_trace(profile.reversed(), t, 3).values)) < 1e-13
+
+
 def test_mirror_matches_reference_strings(rng):
     couplings = (0.5, 1.7, 0.9)
     vec = mirror_propagate(build_generator(CouplingProfile(4, couplings)), 0.83)
@@ -158,6 +170,10 @@ def test_non_finite_time_rejected(bad):
             prop.end_weights(times)
     with pytest.raises(ValueError, match="finite"):
         gaussian_end_expectations(prop, bad, (0, 0, 1), np.zeros((2, 2)), 1j)
+    # a bad entry among good times, and a 2-D array, which is not flattened
+    for times in (np.array([0.3, bad, 0.5]), np.full((2, 2), 0.3)):
+        with pytest.raises(ValueError, match="finite"):
+            prop.coefficients_many(times)
 
 
 def test_end_weights_match_last_coefficient(rng):
@@ -183,20 +199,57 @@ def test_tridiagonal_solve_matches_eigh_tridiagonal(rng):
         w, v = eigh_tridiagonal(np.zeros(gen.dimension), np.asarray(gen.subdiagonal))
         prop = Propagator(gen)
         assert np.array_equal(prop.eigenvalues, w)
-        assert np.array_equal(prop._v, v)
+        u = (v * np.exp(-1j * 0.7 * w)) @ v.T
+        assert np.array_equal(prop.entries(0.7, list(range(gen.dimension))), u)
+
+
+def test_entries_take_ints_lists_and_time_arrays(rng):
+    n = 7
+    prop = Propagator(build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))))
+    times = np.array([0.0, 0.4, -1.3])
+    full = np.stack([prop.entries(t, list(range(n))) for t in times])
+    assert np.max(np.abs(full[0] - np.eye(n))) < 1e-15
+    # u is unitary and symmetric
+    assert np.max(np.abs(full[1] @ full[1].conj().T - np.eye(n))) < 1e-14
+    assert np.max(np.abs(full[1] - full[1].T)) < 1e-15
+    for rows, cols in ((0, None), (0, -1), ([0, n - 1], None), ([0, n - 1], [2, 0]), (3, [1, 4])):
+        stacked = prop.entries(times, rows, cols)
+        cut = full[:, rows] if cols is None else full[:, rows][..., cols]
+        assert stacked.shape == cut.shape
+        assert np.max(np.abs(stacked - cut)) < 1e-15
 
 
 def test_residue_check_fires_on_a_broken_phase_convention(monkeypatch):
     prop = Propagator(build_generator(perfect_profile(6)))
     times = np.linspace(0.1, 1.0, 5)
-    # zeta = 1 everywhere drops the factor i of the even-numbered strings
+    # zeta = 1 everywhere drops the factor i of the even-numbered strings,
+    # the sixth, alpha_N, among them
     monkeypatch.setattr(prop, "_zeta", np.ones(6, dtype=complex))
-    with pytest.raises(InternalConsistencyError, match="imaginary residue"):
-        prop.coefficients_many(times)
-    monkeypatch.setattr(prop, "_end", 1j * prop._end)
     for t in (0.4, times):
         with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+            prop.coefficients_many(t)
+        with pytest.raises(InternalConsistencyError, match="imaginary residue"):
             prop.end_weights(t)
+
+
+def test_residue_bound_follows_the_roundoff_model(monkeypatch):
+    # near the revival at t = 201 pi/4, where max|w| t = 3.2e5: correct
+    # output with an imaginary residue of 2.7e-12, past a fixed 1e-12
+    trace = coefficient_trace(perfect_profile(1000), 157.86503084864614, 2)
+    assert abs(trace.values[-1, -1]) == pytest.approx(1.0, abs=1e-9)
+    # an imaginary part just inside or just past 64 eps (1 + max|w| |t|), or NaN;
+    # odd N, so zeta_N = 1 and u_1N's imaginary part is alpha_N's
+    prop = Propagator(build_generator(perfect_profile(5)))
+    entries, t = prop.entries, 0.7
+    bound = 64 * np.finfo(float).eps * (1 + np.abs(prop.eigenvalues).max() * t)
+    for factor, fires in ((0.9, False), (1.1, True), (math.nan, True)):
+        monkeypatch.setattr(prop, "entries", lambda *args: entries(*args) + 1j * factor * bound)
+        for call in (prop.coefficients, prop.end_weights):
+            if fires:
+                with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+                    call(t)
+            else:
+                call(t)
 
 
 def test_propagator_reusable_and_deterministic():

@@ -10,6 +10,7 @@ from xxqst import (
     CouplingProfile,
     DensityMatrix,
     InternalConsistencyError,
+    PauliString,
     Propagator,
     ProtocolConfig,
     ResourceLimitError,
@@ -279,8 +280,7 @@ def test_axial_average_on_long_boundary_chains_is_medium_independent(n, eta, t):
 
     profile = boundary_profile(n, eta)
     prop = Propagator(build_generator(profile))
-    phases = np.exp(-1j * prop.eigenvalues * t)
-    u_11, u_nn = (prop._v[0] ** 2) @ phases, (prop._v[-1] ** 2) @ phases
+    u_11, u_nn = prop.entries(t, 0, 0), prop.entries(t, -1, -1)
     expected = 0.5 + prop.end_weights(t) / 2 + (-1) ** n * (u_11 * u_nn).real / 6
     mediums = [("thermal:0.05", "subchain"), ("all-zero", "subchain"),
                ("maximally-mixed", "subchain"), ("thermal:0.3", "fullchain")]
@@ -620,3 +620,15 @@ def test_transfer_condition_fixed_exponents():
     free = verify_transfer_condition(perfect_profile(4))
     for fixed_entry, free_entry in zip(report.entries, free.entries):
         assert fixed_entry.deviation == pytest.approx(free_entry.deviation, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [9, 13])
+def test_identity_checks_refuse_long_chains_before_building_matrices(n, monkeypatch):
+    def no_dense_matrix(self):
+        raise AssertionError("a dense 2**n matrix was built before the size check")
+
+    monkeypatch.setattr(PauliString, "to_matrix", no_dense_matrix)
+    with pytest.raises(ResourceLimitError):
+        verify_protocol_identities(perfect_profile(n))
+    with pytest.raises(ResourceLimitError):
+        verify_transfer_condition(perfect_profile(n), mid_op="Z")

@@ -26,6 +26,7 @@ not Gaussian.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,24 +96,37 @@ class Propagator:
     tridiagonal matrix A = V diag(w) V^T with off-diagonal g_i = 2 J_i
     through the phases zeta = (1, i, 1, i, ...).  Every number of this engine
     comes from the single-particle propagator u(t) = V exp(-i w t) V^T, which
-    :meth:`entries` evaluates: exp(M t) e_1 = zeta o u[0, :] (X_1, forward
-    strings), zeta o u[N-1, ::-1] (X_N, mirrored strings) and alpha_N(t) =
-    zeta_N u_1N.  These are real up to roundoff; a residue past the roundoff
-    model 64 eps (1 + max|w| |t|) means a convention violation and raises
-    ``InternalConsistencyError``.
+    :meth:`entries` evaluates in real arithmetic: exp(M t) e_1 = zeta o u[0, :]
+    (X_1, forward strings), zeta o u[N-1, ::-1] (X_N, mirrored strings) and
+    alpha_N(t) = zeta_N u_1N.  These are real up to roundoff; a residue past
+    the roundoff model 64 eps (1 + max|w| |t|) means a convention violation
+    and raises ``InternalConsistencyError``.
+
+    Built from a sequence of generators of one length instead of one
+    generator, the propagator holds one eigensystem per generator along a
+    leading batch axis (w of shape (B, N), V of shape (B, N, N)), and every
+    result gains that leading axis, ahead of the time axis; the roundoff
+    bound is then per batch row.  ``generator`` is what it was built from.
     """
 
-    def __init__(self, generator: Generator):
+    def __init__(self, generator: Generator | Sequence[Generator]):
         self.generator = generator
-        n = generator.dimension
-        # the driver eigh_tridiagonal picks for all eigenpairs, without its
-        # wrapper; Generator has already checked the subdiagonal is finite
-        w, v, info = dstevd(np.zeros(n), np.asarray(generator.subdiagonal))
-        if info != 0:
-            raise InternalConsistencyError(f"tridiagonal eigensolver dstevd returned info={info}")
-        self._w = w
-        self._v = v
-        self._w_max = float(max(-w[0], w[-1]))  # dstevd sorts w ascending
+        if isinstance(generator, Generator):
+            self._w, self._v = _eigensystem(generator)
+            self._w_max = float(max(-self._w[0], self._w[-1]))  # dstevd sorts w ascending
+            n = generator.dimension
+        else:
+            generators = tuple(generator)
+            if not generators:
+                raise ValueError("a stacked propagator needs at least one generator")
+            n = generators[0].dimension
+            if any(g.dimension != n for g in generators):
+                raise ValueError("stacked generators must share one dimension")
+            self._w = np.empty((len(generators), n))
+            self._v = np.empty((len(generators), n, n))
+            for k, g in enumerate(generators):
+                self._w[k], self._v[k] = _eigensystem(g)
+            self._w_max = np.maximum(-self._w[:, 0], self._w[:, -1])
         self._zeta = np.ones(n, dtype=complex)
         self._zeta[1::2] = 1j
 
@@ -124,31 +138,67 @@ class Propagator:
     def entries(self, times, rows, cols=None):
         """u(t)[rows, cols] for u(t) = e^{-iht} = V exp(-i w t) V^T: rows an
         int or a list of ints, cols also, or None for all.  A 1-D array of
-        finite times stacks the results along a leading axis."""
+        finite times stacks the results along a leading axis, after the
+        batch axis of a stacked propagator.
+
+        With phi = -w t, Re u = V diag(cos phi) V^T and Im u = V diag(sin
+        phi) V^T: one entry takes two real dots, O(N) per time, and more
+        take one real GEMM of V[rows] scaled by the stacked [cos; sin]
+        tables against V[cols]^T, per batch row."""
         t = np.asarray(times, dtype=float)
-        if t.ndim == 0 and math.isfinite(t):
-            # as a Python float: the profile search probes one time per
-            # call, where 0-d array arithmetic costs more than the product
-            phases = np.exp(-1j * float(t) * self._w)
-        elif t.ndim == 1 and np.isfinite(t).all():
-            phases = np.exp(np.multiply.outer(t, -1j * self._w))
-        else:
+        if not (t.ndim == 0 and math.isfinite(t) or t.ndim == 1 and np.isfinite(t).all()):
             raise ValueError(f"times must be a finite scalar or 1-D array, got {times!r}")
-        left = self._v[rows]
-        right = self._v if cols is None else self._v[cols]
-        if left.ndim == right.ndim == 1:
-            # one entry: weight the phases once, O(N) per time
-            return phases.dot(left * right)
-        # rebinding frees the phases before the product's complex copy of V
-        phases = left * (phases[:, None, :] if phases.ndim == left.ndim == 2 else phases)
-        return phases @ right.T
+        batch = self._v.shape[:-2]
+        left = self._v[..., rows, :]
+        right = self._v if cols is None else self._v[..., cols, :]
+        one_row, one_col = left.ndim == len(batch) + 1, right.ndim == len(batch) + 1
+        if not batch and not t.ndim:
+            # one chain at one time (the profile search's probe, the Gaussian
+            # protocol's end rows), where the set-up of the stacked path below
+            # would cost more than the arithmetic
+            phase = -float(t) * self._w
+            if one_row and one_col:
+                weights = left * right
+                return complex(np.cos(phase).dot(weights), np.sin(phase).dot(weights))
+            # one GEMM whose rows are the columns, with Re and Im of each entry
+            # side by side: read as complex, it is the transposed result
+            scaled = left[..., None, :] * np.array([np.cos(phase), np.sin(phase)])
+            values = (right @ scaled.reshape(-1, len(phase)).T).view(complex)
+            return values[:, 0] if one_row else values.T
+        # a time axis after the batch axis, of length 1 for a scalar time
+        phase = self._w[..., None, :] * -t.reshape(-1, 1)
+        shape = batch + t.shape + left.shape[len(batch):-1] + right.shape[len(batch):-1]
+        if one_row and one_col:
+            weights = (left * right)[..., None]
+            return _complex((np.cos(phase) @ weights).reshape(shape),
+                            (np.sin(phase) @ weights).reshape(shape))
+        if one_row:
+            left = left[..., None, :]
+        if one_col:
+            right = right[..., None, :]
+        # every (time, row) pair of the cos table, then of the sin table,
+        # against the columns
+        table = np.concatenate([np.cos(phase), np.sin(phase)], axis=-2)
+        del phase
+        scaled = table[..., :, None, :] * left[..., None, :, :]
+        del table
+        product = scaled.reshape(batch + (-1, scaled.shape[-1])) @ right.swapaxes(-1, -2)
+        del scaled
+        half = product.shape[-2] // 2
+        return _complex(product[..., :half, :].reshape(shape), product[..., half:, :].reshape(shape))
 
     def _real(self, values, times, what: str):
-        """Real part of entries of zeta o u at times (leading axis) after the
-        residue check; a float for one entry."""
-        residue = abs(values.imag).T  # the time axis last, against the bounds
+        """Real part of entries of zeta o u at times (axes: batch, time, then
+        the rest) after the residue check; a float for one entry."""
+        residue = abs(values.imag)
         floor = _RESIDUE_FACTOR * _EPS
-        bound = floor + floor * self._w_max * np.abs(times)
+        # one bound per batch row and time; a plain product without a batch,
+        # where the outer product's dispatch would dominate a lone probe
+        scale = np.abs(times)
+        scale = np.multiply.outer(self._w_max, scale) if self._w.ndim > 1 else self._w_max * scale
+        bound = floor + floor * scale
+        if residue.ndim > bound.ndim:
+            bound = bound[..., None]
         within = residue <= bound
         # NaN fails the test; a lone probe skips .all(), which costs microseconds
         if not (within.all() if within.ndim else within):
@@ -175,7 +225,7 @@ class Propagator:
 
     def end_weights(self, times):
         """alpha_N(t)^2 = (zeta_N u_1N)^2, in O(N) per time: a float for a
-        scalar time, an array for a 1-D array of times."""
+        scalar time on one chain, else an array with the batch axis first."""
         amplitude = self._zeta[-1] * self.entries(times, 0, -1)
         return self._real(amplitude, times, "end amplitude") ** 2
 
@@ -184,7 +234,27 @@ class Propagator:
         the Jordan-Wigner fermion of site j: V diag(f) V^T with the Fermi
         occupations f = (1 - tanh(beta w / 2)) / 2, which cannot overflow."""
         occupations = (1.0 - np.tanh(0.5 * float(beta) * self._w)) / 2.0
-        return (self._v * occupations) @ self._v.T
+        return (self._v * occupations[..., None, :]) @ self._v.swapaxes(-1, -2)
+
+
+def _complex(real, imag):
+    """real + i imag, a Python complex for scalars."""
+    if not real.ndim:
+        return complex(real, imag)
+    values = np.empty(real.shape, dtype=complex)
+    values.real, values.imag = real, imag
+    return values
+
+
+def _eigensystem(generator: Generator):
+    """(w, V) of the symmetric tridiagonal A of one generator, w ascending."""
+    n = generator.dimension
+    # the driver eigh_tridiagonal picks for all eigenpairs, without its
+    # wrapper; Generator has already checked the subdiagonal is finite
+    w, v, info = dstevd(np.zeros(n), np.asarray(generator.subdiagonal))
+    if info != 0:
+        raise InternalConsistencyError(f"tridiagonal eigensolver dstevd returned info={info}")
+    return w, v
 
 
 # Majorana frame, site 1 first: gamma_{2j-1} = a_j + a_j^dag and

@@ -42,6 +42,11 @@ _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _MAX_ROUNDS = 20
 # an alpha_N^2 below this is roundoff, not transfer
 _ESTIMATE_FLOOR = 1e-12
+# float64 elements (8 MiB) that one chunk of sweep rows may hold at once:
+# its (B, n, n) eigenvector stack and two (B, nt, n) phase tables.  At the
+# default grid that is every row in one chunk up to n = 45 and one row per
+# chunk from n = 635; a lone row may exceed it
+_SWEEP_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,12 @@ def sweep(
     least 8.  The reported best point breaks exact ties toward smaller
     time, then smaller coupling strength: earlier transfer is worth more
     inside a fixed coherence window.
+
+    The eta rows are evaluated in chunks, each by one stacked
+    ``Propagator`` over the chunk's chains and one ``end_weights`` call on
+    every time.  A chunk holds as many rows as keep its (B, n, n)
+    eigenvector stack and two (B, nt, n) phase tables within
+    _SWEEP_BUDGET elements, and at least one.
     """
     if isinstance(resolution, int):
         res_eta = res_t = resolution
@@ -143,9 +154,12 @@ def sweep(
         raise ValueError("eta range must be positive")
     t_values = _axis(t_range, res_t)
     surface = np.empty((res_eta, res_t))
-    for i, eta in enumerate(eta_values):
-        prop = Propagator(build_generator(boundary_profile(n, float(eta))))
-        surface[i] = prop.end_weights(t_values)
+    chunk = max(1, _SWEEP_BUDGET // (n * (n + 2 * res_t)))
+    for lo in range(0, res_eta, chunk):
+        # one statement, so the chunk's stack is freed before the next is built
+        surface[lo:lo + chunk] = Propagator([
+            build_generator(boundary_profile(n, float(eta))) for eta in eta_values[lo:lo + chunk]
+        ]).end_weights(t_values)
     best = float(surface.max())
     ties = np.argwhere(surface == best)
     # lexicographic (t index, eta index): smaller t wins, then smaller eta
@@ -264,8 +278,10 @@ def refine(
     """Polish a sweep argmax by a nested Brent line search.
 
     The outer search runs over the coupling strength eta and scores each
-    eta by the best readout time near the start time (``refine_time`` on
-    that chain), so it climbs the ridge of best times directly.  Both
+    eta by its best readout time (``refine_time`` on that chain), so it
+    climbs the ridge of best times directly.  Each such inner search
+    starts from the best time of the nearest eta already scored, the
+    first from the start time, so the climb to the ridge is made once.  Both
     levels search their window around the current point to `tolerance`
     and re-centre it while the maximum lands on an edge.  The trace holds
     the start and the best point after each outer search.  A start the
@@ -283,7 +299,9 @@ def refine(
     best_times = {}
 
     def score(e: float) -> float:
-        best_times[e] = refine_time(boundary_profile(n, e), t, tolerance, t_window)
+        # warm start: the best time of the nearest eta already scored
+        start = best_times[min(best_times, key=lambda s: abs(s - e))].time if best_times else t
+        best_times[e] = refine_time(boundary_profile(n, e), start, tolerance, t_window)
         return best_times[e].estimate
 
     path, converged = _climb(score, eta, eta_window, tolerance / 4.0, floor=tolerance)

@@ -212,24 +212,29 @@ def test_entries_take_ints_lists_and_time_arrays(rng):
     # u is unitary and symmetric
     assert np.max(np.abs(full[1] @ full[1].conj().T - np.eye(n))) < 1e-14
     assert np.max(np.abs(full[1] - full[1].T)) < 1e-15
-    for rows, cols in ((0, None), (0, -1), ([0, n - 1], None), ([0, n - 1], [2, 0]), (3, [1, 4])):
+    for rows, cols in ((0, None), (0, -1), (3, 0), ([0, n - 1], None), ([0, n - 1], [2, 0]),
+                       (3, [1, 4]), ([0, n - 1], 2)):
         stacked = prop.entries(times, rows, cols)
         cut = full[:, rows] if cols is None else full[:, rows][..., cols]
         assert stacked.shape == cut.shape
         assert np.max(np.abs(stacked - cut)) < 1e-15
+        for t, one in zip(times, cut):
+            assert np.max(np.abs(prop.entries(t, rows, cols) - one)) < 1e-15
 
 
 def test_residue_check_fires_on_a_broken_phase_convention(monkeypatch):
-    prop = Propagator(build_generator(perfect_profile(6)))
+    gen = build_generator(perfect_profile(6))
     times = np.linspace(0.1, 1.0, 5)
-    # zeta = 1 everywhere drops the factor i of the even-numbered strings,
-    # the sixth, alpha_N, among them
-    monkeypatch.setattr(prop, "_zeta", np.ones(6, dtype=complex))
-    for t in (0.4, times):
-        with pytest.raises(InternalConsistencyError, match="imaginary residue"):
-            prop.coefficients_many(t)
-        with pytest.raises(InternalConsistencyError, match="imaginary residue"):
-            prop.end_weights(t)
+    # one chain, and a stack of two
+    for prop in (Propagator(gen), Propagator([gen, build_generator(boundary_profile(6, 0.7))])):
+        # zeta = 1 everywhere drops the factor i of the even-numbered strings,
+        # the sixth, alpha_N, among them
+        monkeypatch.setattr(prop, "_zeta", np.ones(6, dtype=complex))
+        for t in (0.4, times):
+            with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+                prop.coefficients_many(t)
+            with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+                prop.end_weights(t)
 
 
 def test_residue_bound_follows_the_roundoff_model(monkeypatch):
@@ -250,6 +255,52 @@ def test_residue_bound_follows_the_roundoff_model(monkeypatch):
                     call(t)
             else:
                 call(t)
+
+
+def test_residue_bound_is_per_batch_row(monkeypatch):
+    # a slow chain and a fast one: an imaginary part just inside the fast
+    # chain's bound passes on its own row and fires on the slow row
+    slow, fast = (build_generator(CouplingProfile(5, (c,) * 4)) for c in (0.1, 2.0))
+    prop = Propagator([slow, fast])
+    entries, t = prop.entries, 0.7
+    bounds = 64 * np.finfo(float).eps * (1 + np.abs(prop.eigenvalues).max(axis=1) * t)
+    assert bounds[1] > 1.5 * bounds[0]
+    for shift, fires in ((0.9 * bounds, False), (0.9 * bounds[1], True)):
+        monkeypatch.setattr(prop, "entries", lambda *args: entries(*args) + 1j * shift)
+        if fires:
+            with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+                prop.end_weights(t)
+        else:
+            prop.end_weights(t)
+
+
+def test_stacked_propagator_is_a_batch_of_single_ones(rng):
+    n = 7
+    gens = [build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))) for _ in range(3)]
+    stacked, singles = Propagator(gens), [Propagator(g) for g in gens]
+    assert np.array_equal(stacked.eigenvalues, np.stack([p.eigenvalues for p in singles]))
+    for times in (0.4, np.array([0.0, 0.4, -1.3])):
+        for rows, cols in ((0, None), (0, -1), ([0, n - 1], None), ([0, n - 1], [2, 0]),
+                           (3, [1, 4]), ([1, 5], 2)):
+            batch = stacked.entries(times, rows, cols)
+            each = np.stack([p.entries(times, rows, cols) for p in singles])
+            assert batch.shape == each.shape
+            assert np.max(np.abs(batch - each)) < 1e-15
+        for name in ("coefficients_many", "end_weights"):
+            batch = getattr(stacked, name)(times)
+            each = np.stack([getattr(p, name)(times) for p in singles])
+            assert batch.shape == each.shape
+            assert np.max(np.abs(batch - each)) < 1e-15
+    batch = stacked.thermal_correlation(0.8)
+    each = np.stack([p.thermal_correlation(0.8) for p in singles])
+    assert np.max(np.abs(batch - each)) < 1e-15
+
+
+def test_stacked_propagator_needs_generators_of_one_length():
+    with pytest.raises(ValueError, match="one dimension"):
+        Propagator([build_generator(perfect_profile(5)), build_generator(perfect_profile(6))])
+    with pytest.raises(ValueError, match="at least one"):
+        Propagator([])
 
 
 def test_propagator_reusable_and_deterministic():

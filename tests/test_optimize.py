@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xxqst import (
     boundary_profile,
+    build_generator,
     cross_validate,
     estimate_fidelity,
     optimize_boundary,
@@ -64,6 +66,61 @@ def test_sweep_surface_matches_direct_evaluation():
     profile = boundary_profile(4, float(result.eta_values[i]))
     direct = estimate_fidelity(profile, float(result.t_values[j]))
     assert result.surface[i, j] == pytest.approx(direct, abs=1e-12)
+
+
+# the default grid's best point at n = 4..13, as the one-chain-per-row
+# sweep found it
+_GRID_BEST = {
+    4: (0.868421052631579, 1.568421052631579),
+    5: (0.8052631578947369, 1.9368421052631577),
+    6: (0.7926315789473684, 2.231578947368421),
+    7: (0.78, 2.526315789473684),
+    8: (0.7547368421052632, 2.857894736842105),
+    9: (0.7421052631578947, 3.1526315789473682),
+    10: (0.716842105263158, 3.4473684210526314),
+    11: (0.716842105263158, 3.7052631578947364),
+    12: (0.7042105263157894, 4.0),
+    13: (0.8052631578947369, 4.0),
+}
+
+
+@pytest.mark.parametrize("n", list(range(4, 14)) + [40, 200])
+def test_sweep_surface_matches_per_row_propagators(n):
+    result = sweep(n)
+    if n == 200:
+        # the rows come in several chunks
+        assert optimize._SWEEP_BUDGET // (n * (n + 2 * 96)) < 96
+    for eta, row in zip(result.eta_values, result.surface):
+        prop = Propagator(build_generator(boundary_profile(n, float(eta))))
+        assert np.max(np.abs(row - prop.end_weights(result.t_values))) <= 1e-14
+    if n in _GRID_BEST:
+        assert (result.best_eta, result.best_time) == _GRID_BEST[n]
+
+
+def test_sweep_ragged_last_chunk(monkeypatch):
+    whole = sweep(7)
+    # chunks of five rows: the 96th row is a chunk of its own
+    monkeypatch.setattr(optimize, "_SWEEP_BUDGET", 5 * 7 * (7 + 2 * 96))
+    chunked = sweep(7)
+    assert np.max(np.abs(chunked.surface - whole.surface)) <= 1e-14
+    assert (chunked.best_eta, chunked.best_time) == (whole.best_eta, whole.best_time)
+
+
+@pytest.mark.parametrize("resolution", [8, (32, 8)])
+def test_sweep_chunks_stay_within_the_budget(resolution):
+    # a chunk holds its eigenvector stack and phase tables within the
+    # budget; on top of it, one chain's eigenvectors and the eigensolver's
+    # workspace, n^2 each, and 1 MiB for everything else.  All 32 rows in
+    # one stack would take 23 MB
+    n = 300
+    sweep(n, resolution=resolution)
+    tracemalloc.start()
+    try:
+        sweep(n, resolution=resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (optimize._SWEEP_BUDGET + 2 * n * n) + 2**20
 
 
 def test_sweep_stable_under_resolution_change():
@@ -285,6 +342,44 @@ def test_refine_probe_count(end_weight_calls, n):
     assert len(end_weight_calls) <= 150
 
 
+# (eta, t, estimate) of optimize_boundary(n) when every inner search
+# started from the grid time
+_COLD_START = {
+    5: (0.8164966049633484, 1.9238247098378825, 0.9999999999999984),
+    6: (0.794215296624348, 2.2341105694936294, 0.9956666641504003),
+    7: (0.773060137582379, 2.542185457557016, 0.9918060597873318),
+    8: (0.7560704025345628, 2.8425876466659483, 0.9875635797224025),
+    9: (0.7413715321543491, 3.138593319759982, 0.9834073494362116),
+    10: (0.7285160136953659, 3.430905981098088, 0.9793710988651069),
+    11: (0.7170864066804049, 3.720257796777002, 0.9755007305386507),
+    12: (0.7068080405061599, 4.0071329683217725, 0.9718074067669326),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_COLD_START))
+def test_warm_start_keeps_the_cold_start_optimum(n):
+    result = optimize_boundary(n)
+    eta, t, estimate = _COLD_START[n]
+    assert abs(result.eta - eta) <= 1e-6
+    assert abs(result.time - t) <= 1e-6
+    assert abs(result.estimate - estimate) <= 1e-12
+    assert result.refinement.converged
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_warm_start_climbs_to_the_ridge_once(end_weight_calls, n):
+    # the grid time 4.0 lies far below these optima; starting every inner
+    # search there took 13,366 probes at n = 20 and 55,456 at n = 40
+    grid = sweep(n)
+    end_weight_calls.clear()
+    polish = refine(n, (grid.best_eta, grid.best_time))
+    assert polish.converged
+    assert len(end_weight_calls) <= 2500
+    if n == 40:
+        assert polish.eta == pytest.approx(0.57759, abs=5e-6)
+        assert polish.time == pytest.approx(11.6371, abs=5e-5)
+
+
 # ---------------------------------------------------------------------------
 # end to end and cross validation
 # ---------------------------------------------------------------------------
@@ -309,16 +404,23 @@ def test_optimize_boundary_flags_grid_edge(n, on_edge):
 
 
 @pytest.mark.parametrize("n", [100, 200])
-def test_optimize_boundary_flags_roundoff_optima(end_weight_calls, n):
+def test_optimize_boundary_flags_roundoff_optima(end_weight_calls, monkeypatch, n):
     # the default t range ends long before the first arrival, so the
     # objective is roundoff noise; the search must still end, and the
     # result must say that it found no transfer
+    refine = optimize.refine
+
+    def counted_refine(*args, **kwargs):
+        # the refinement's probes only, whatever the sweep's calls were
+        end_weight_calls.clear()
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "refine", counted_refine)
     result = optimize_boundary(n)
     assert result.estimate < optimize._ESTIMATE_FLOOR
     assert result.refinement.converged is False
     assert result.to_dict()["converged"] is False
-    # 96 grid rows, then the refinement
-    assert len(end_weight_calls) - 96 <= 1500
+    assert len(end_weight_calls) <= 1500
 
 
 def test_cross_validate_perfect_chain():

@@ -285,10 +285,24 @@ _KET_TERMS = ((1, ()), (1j, ("P", "k")))
 _FORMS = ("z1", "e2", "r", "k", "g1", "gO", "gE")
 
 
+def _complex_slots(bins: np.ndarray) -> np.ndarray:
+    """Float slots 2 b and 2 b + 1 for each bin b, interleaved: a bincount of
+    complex values read as floats over them, read back as complex, sums each
+    value into its bin."""
+    return np.stack([2 * bins, 2 * bins + 1], axis=1).ravel()
+
+
+def _scatter(slots: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums over `size` bins of `values` (contiguous), placed by
+    _complex_slots, each bin summed in the order of `values`."""
+    return np.bincount(slots, values.view(float), 2 * size).view(complex)
+
+
 def _wick_terms():
     """The nonvanishing Wick terms of the seven expectations, as arrays over
-    the terms: expectation index, 1 if odd in c, coefficient, carries P, and
-    the index of its forms' mask among the even masks (see _WEDGE)."""
+    the terms: the slots of its part (odd in c or not, expectation index),
+    coefficient, carries P, and the index of its forms' mask among the even
+    masks (see _WEDGE)."""
     terms = []
     for out, (c_op, op) in enumerate(_END_OPERATORS):
         for c_in, f_in in _INPUT_TERMS:
@@ -309,11 +323,12 @@ def _wick_terms():
                 if len(forms) % 2 == 0:
                     terms.append((out, bool(f_ket), coef, parity, sum(1 << a for a in forms) & 63))
     out, odd, coef, parity, mask = zip(*terms)
-    return (np.array(out), np.array(odd, dtype=int), np.array(coef, dtype=complex),
+    part = np.array(odd, dtype=int) * len(_END_OPERATORS) + np.array(out)
+    return (_complex_slots(part), np.array(coef, dtype=complex),
             np.array(parity), np.array(mask))
 
 
-_TERM_OUT, _TERM_ODD, _TERM_COEF, _TERM_PARITY, _TERM_MASK = _wick_terms()
+_TERM_SLOTS, _TERM_COEF, _TERM_PARITY, _TERM_MASK = _wick_terms()
 # the 21 two-forms e_a e_b (a < b) of the exterior algebra on the seven forms
 _PAIR_A, _PAIR_B = np.triu_indices(len(_FORMS), 1)
 
@@ -322,7 +337,8 @@ def _wedge_table():
     """x ^ omega as a scatter over the 64 even masks, each stored at the
     index of its low six bits (bit 6 is their parity): one entry (dst, src,
     pair, sign) for every even mask m and pair a < b outside it, with
-    e_m e_a e_b = sign e_{m | a | b} and sign = (-1)^(#(m above a) + #(m above b))."""
+    e_m e_a e_b = sign e_{m | a | b} and sign = (-1)^(#(m above a) + #(m above b)),
+    dst given as its _complex_slots."""
     entries = []
     for src in range(64):
         m = src | (src.bit_count() & 1) << 6
@@ -331,18 +347,24 @@ def _wedge_table():
                 sign = (-1) ** ((m >> a + 1).bit_count() + (m >> b + 1).bit_count())
                 entries.append(((m | 1 << a | 1 << b) & 63, src, pair, sign))
     dst, src, pair, sign = (np.array(column) for column in zip(*entries))
-    return dst, src, pair, sign.astype(float)
+    return _complex_slots(dst), src, pair, sign.astype(float)
 
 
 _WEDGE = _wedge_table()
 
 
-def _wedge(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+def _signed(omega: np.ndarray) -> np.ndarray:
+    """sign * omega[pair] over the scatter entries, for two-forms given by
+    their 21 entries omega_ab (a < b) on the last axis."""
+    _, _, pair, sign = _WEDGE
+    return sign * omega[..., pair]
+
+
+def _wedge(x: np.ndarray, signed: np.ndarray) -> np.ndarray:
     """x ^ omega for an even element x (64 entries) and a two-form omega
-    (its 21 entries omega_ab, a < b)."""
-    dst, src, pair, sign = _WEDGE
-    terms = sign * x[src] * omega[pair]
-    return np.bincount(dst, terms.real, 64) + 1j * np.bincount(dst, terms.imag, 64)
+    given as _signed(omega)."""
+    slots, src, _, _ = _WEDGE
+    return _scatter(slots, x[src] * signed, 64)
 
 
 def _pair_product(k: np.ndarray, delta: np.ndarray, u: np.ndarray, v: np.ndarray):
@@ -357,10 +379,11 @@ def _pair_product(k: np.ndarray, delta: np.ndarray, u: np.ndarray, v: np.ndarray
     power = np.zeros(64, dtype=complex)
     power[0] = 1.0
     expk = power
+    signed_k = _signed(k)
     for r in (1, 2, 3):
-        power = _wedge(power, k) / r
+        power = _wedge(power, signed_k) / r
         expk = expk + power
-    omega = v[:, _PAIR_A] * u[:, _PAIR_B] - u[:, _PAIR_A] * v[:, _PAIR_B]
+    omega = _signed(v[:, _PAIR_A] * u[:, _PAIR_B] - u[:, _PAIR_A] * v[:, _PAIR_B])
     product = expk
     for d, om in zip(delta, omega):
         product = 1j * d * product + _wedge(product, om)
@@ -438,8 +461,7 @@ def gaussian_end_expectations(
     values = _TERM_COEF * np.where(
         _TERM_PARITY, (1, -1j, -1, 1j)[n % 4] * pairs[_TERM_MASK], expk[_TERM_MASK])
     # parts even and odd in c
-    parts = np.zeros((2, len(_END_OPERATORS)), dtype=complex)
-    np.add.at(parts, (_TERM_ODD, _TERM_OUT), values)
+    parts = _scatter(_TERM_SLOTS, values, 2 * len(_END_OPERATORS)).reshape(2, -1)
     return np.stack([parts[0] + parts[1], parts[0] - parts[1]])
 
 

@@ -167,13 +167,22 @@ class StateVector:
         return DensityMatrix(self.n_sites, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def _smallest_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, read from its lower
+    triangle as eigvalsh reads it; in closed form for one qubit."""
+    if mat.shape == (2, 2):
+        (a, _), (b, d) = mat.tolist()
+        return (a.real + d.real - math.hypot(a.real - d.real, 2.0 * abs(b))) / 2.0
+    return float(np.linalg.eigvalsh(mat if np.any(mat.imag) else mat.real)[0])
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Mixed state of n_sites qubits: unit trace, Hermitian, positive.
 
     Positivity is verified by full diagonalization when the dimension does
-    not exceed 2**11; larger matrices are checked for trace and Hermiticity
-    only.
+    not exceed 2**11, and for one qubit by the closed form of the smaller
+    eigenvalue; larger matrices are checked for trace and Hermiticity only.
     """
 
     n_sites: int
@@ -195,7 +204,7 @@ class DensityMatrix:
         if herm_dev > 1e-12:
             raise ValueError(f"matrix not Hermitian: deviation {herm_dev:.3e}")
         if dim <= 2048:
-            lo = float(np.linalg.eigvalsh(mat if np.any(mat.imag) else mat.real)[0])
+            lo = _smallest_eigenvalue(mat)
             if lo < -1e-10:
                 raise ValueError(f"matrix not positive: min eigenvalue {lo:.3e}")
         mat.flags.writeable = False
@@ -532,33 +541,36 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
-def _as_matrix(state) -> tuple[np.ndarray, np.ndarray | None]:
-    """(matrix, pure_vector_or_None) for either state type."""
+def _as_matrix(state) -> np.ndarray:
+    """Density matrix of either state type."""
     if isinstance(state, StateVector):
-        return np.outer(state.amplitudes, state.amplitudes.conj()), state.amplitudes
+        return np.outer(state.amplitudes, state.amplitudes.conj())
     if isinstance(state, DensityMatrix):
-        w, v = np.linalg.eigh(state.matrix)
-        if w[-1] >= 1.0 - 1e-12:
-            return state.matrix, v[:, -1]
-        return state.matrix, None
+        return state.matrix
     raise TypeError(f"not a quantum state: {type(state).__name__}")
 
 
 def fidelity(a, b) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(a) b sqrt(a)))**2.
 
-    For a pure argument this reduces to the exact overlap expectation and
-    for a pair of single-qubit matrices the closed two-by-two form is used,
-    both of which avoid the square-root noise of the general path.
+    For a pure argument this reduces to the exact overlap expectation
+    <psi|rho|psi>, taken before anything is diagonalized, and for a pair of
+    single-qubit matrices the closed two-by-two form is used, both of which
+    avoid the square-root noise of the general path.
     """
-    mat_a, vec_a = _as_matrix(a)
-    mat_b, vec_b = _as_matrix(b)
-    if mat_a.shape != mat_b.shape:
+    if isinstance(b, StateVector) and not isinstance(a, StateVector):
+        a, b = b, a
+    mat_b = _as_matrix(b)
+    mat_a = None if isinstance(a, StateVector) else _as_matrix(a)
+    if a.n_sites != b.n_sites:
         raise ValueError("states live on different Hilbert spaces")
-    if vec_a is not None:
-        return float(np.real(vec_a.conj() @ mat_b @ vec_a))
-    if vec_b is not None:
-        return float(np.real(vec_b.conj() @ mat_a @ vec_b))
+    if mat_a is None:
+        return float(np.real(a.amplitudes.conj() @ mat_b @ a.amplitudes))
+    # a density matrix within 1e-12 of pure counts as its top eigenvector
+    for mat, other in ((mat_a, mat_b), (mat_b, mat_a)):
+        w, v = np.linalg.eigh(mat)
+        if w[-1] >= 1.0 - 1e-12:
+            return float(np.real(v[:, -1].conj() @ other @ v[:, -1]))
     if mat_a.shape == (2, 2):
         det_a = max(float(np.real(np.linalg.det(mat_a))), 0.0)
         det_b = max(float(np.real(np.linalg.det(mat_b))), 0.0)

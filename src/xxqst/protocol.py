@@ -229,28 +229,38 @@ def _medium_correlation(config: ProtocolConfig, kind: str, beta, chain: Propagat
     return Propagator(build_generator(interior)).thermal_correlation(beta)
 
 
+def _bloch(state) -> tuple[float, float, float]:
+    """Bloch vector of a single-qubit state, a pure one read from its amplitudes."""
+    if isinstance(state, DensityMatrix):
+        return state.bloch_vector()
+    a, b = state.amplitudes.tolist()
+    coherence = a * b.conjugate()
+    return 2.0 * coherence.real, -2.0 * coherence.imag, (a * a.conjugate() - b * b.conjugate()).real
+
+
 def _gaussian_outcomes(config: ProtocolConfig, kind: str, beta) -> dict:
     """{o_pre: {o_post: (probability, unnormalized site-N matrix)}} on a
     Gaussian medium, both pre-measurement outcomes from one evaluation."""
     n = config.profile.n_sites
     chain = Propagator(build_generator(config.profile))
-    state = config.input_state
-    if isinstance(state, StateVector):
-        state = state.density_matrix()
     moments = gaussian_end_expectations(
-        chain, config.effective_time, state.bloch_vector(),
+        chain, config.effective_time, _bloch(config.input_state),
         _medium_correlation(config, kind, beta, chain), _I_POW[n % 4],
     )
     outcomes = {}
-    for o_pre, (x1, xn, yn, zn, x1xn, x1yn, x1zn) in zip((1, -1), moments):
+    for o_pre, (x1, xn, yn, zn, x1xn, x1yn, x1zn) in zip((1, -1), moments.tolist()):
         outcomes[o_pre] = {}
         for o_post in (1, -1):
             # Pauli components of Tr_{1..N-1}[(1 + o_post X_1)/2 . evolved state]
             e_i, e_z = 1.0 + o_post * x1, zn + o_post * x1zn
             e_x, e_y = xn + o_post * x1xn, yn + o_post * x1yn
             site_n = np.array([[e_i + e_z, e_x - 1j * e_y], [e_x + 1j * e_y, e_i - e_z]]) / 4.0
-            outcomes[o_pre][o_post] = (float(np.real(np.trace(site_n))), site_n)
+            outcomes[o_pre][o_post] = (e_i.real / 2.0, site_n)
     return outcomes
+
+
+# the site-N starting state when the config names none
+_END_STATE = StateVector.basis(1, 0)
 
 
 def _equatorial_ket(n: int, outcome: int) -> np.ndarray:
@@ -272,7 +282,7 @@ def _prepare(config: ProtocolConfig):
     # engine holds 2**n x 2**(n-1) amplitudes
     check_size(n, dense=True)
     rng = np.random.default_rng(config.seed)
-    end_cols, end_w = _factor(config.end_state or StateVector.basis(1, 0))
+    end_cols, end_w = _factor(config.end_state or _END_STATE)
     p_pre = {o: float(np.sum(end_w * np.abs(_equatorial_ket(n, o).conj() @ end_cols) ** 2))
              for o in (1, -1)}
     kind, beta, explicit = _parse_medium(config.medium)
@@ -311,30 +321,30 @@ def _post_outcomes(config: ProtocolConfig, front, weights, o_pre: int) -> dict:
     return outcomes
 
 
-def _correct(site_n: np.ndarray, n: int, sign: int) -> np.ndarray:
-    phase = _I_POW[n % 4]
-    c = np.array([1.0, phase if sign > 0 else -phase])
-    return site_n * np.outer(c, c.conj())
-
-
 def _finish_branch(config, site_n, o_pre, o_post, weight, t, apply_correction):
+    """The branch result from its normalized site-N matrix: the correction,
+    then the roundoff clean-up, bounded at 1e-12, on the four entries."""
     n = config.profile.n_sites
+    (a, b), (c, d) = site_n.tolist()
     if apply_correction:
-        site_n = _correct(site_n, n, o_pre * o_post)
+        # conjugation by diag(1, phase), phase = +-i**n: S^n, or S^n Z
+        phase = _I_POW[n % 4] if o_pre * o_post > 0 else -_I_POW[n % 4]
+        b, c = b * phase.conjugate(), c * phase
         label = f"S^{n}" if o_pre * o_post > 0 else f"S^{n}*Z"
     else:
         label = "none"
-    anti = float(np.max(np.abs(site_n - site_n.conj().T))) / 2.0
-    trace_err = abs(np.trace(site_n) - 1.0)
+    anti = max(abs(a.imag), abs(d.imag), abs(b - c.conjugate()) / 2.0)
+    trace_err = abs(a + d - 1.0)
     if max(anti, trace_err) > 1e-12:
         raise InternalConsistencyError(
             f"branch ({o_pre:+d}, {o_post:+d}) output off by {anti:.3e} (anti-Hermitian "
             f"part) and {trace_err:.3e} (trace), past the clean-up bound 1e-12"
         )
     # scrub the roundoff just bounded before the type checks trace and Hermiticity
-    site_n = (site_n + site_n.conj().T) / 2.0
-    site_n = site_n / float(np.real(np.trace(site_n)))
-    output = DensityMatrix(1, site_n)
+    b = (b + c.conjugate()) / 2.0
+    tr = a.real + d.real
+    a, b, d = a.real / tr, b / tr, d.real / tr
+    output = DensityMatrix(1, np.array([[a, b], [b.conjugate(), d]]))
     fid = fidelity(output, config.input_state)
     return ProtocolResult(o_pre, o_post, weight, output, fid, label, t)
 

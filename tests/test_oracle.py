@@ -76,6 +76,47 @@ def test_density_matrix_rejects_non_finite_entries(bad):
         DensityMatrix(1, mat)
 
 
+def _with_spectrum(rng, eigenvalues):
+    """Hermitian matrix with the given spectrum in a seeded random eigenbasis."""
+    dim = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    mat = (q * eigenvalues) @ q.conj().T
+    return (mat + mat.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n_sites", [1, 2])
+def test_density_matrix_positivity_bound(rng, n_sites):
+    # one qubit takes the closed form, two take eigvalsh; both hold -1e-10
+    dim = 2**n_sites
+    for lowest, accepted in ((-2e-10, False), (-5e-11, True)):
+        spectrum = np.concatenate([[lowest], np.full(dim - 1, (1.0 - lowest) / (dim - 1))])
+        mat = _with_spectrum(rng, spectrum)
+        if accepted:
+            DensityMatrix(n_sites, mat)
+        else:
+            with pytest.raises(ValueError, match="not positive"):
+                DensityMatrix(n_sites, mat)
+
+
+def test_one_qubit_smallest_eigenvalue_matches_eigvalsh(rng):
+    # unit-trace Hermitian (1 + r . sigma)/2: |r| < 1.5 reaches past positivity,
+    # |r| = 1 is rank 1.  The upper triangle is off by 1e-13, inside the
+    # Hermiticity bound: both forms read the lower one
+    paulis = np.stack([oracle._PAULI_MATS[letter] for letter in "XYZ"])
+    for _ in range(500):
+        r = rng.normal(size=3)
+        r /= np.linalg.norm(r)
+        for radius in (rng.uniform(0.0, 1.5), 1.0):
+            mat = (np.eye(2) + np.tensordot(radius * r, paulis, 1)) / 2.0
+            mat[0, 1] += 1e-13
+            closed = oracle._smallest_eigenvalue(mat)
+            assert abs(closed - np.linalg.eigvalsh(mat)[0]) <= 1e-15
+    for _ in range(100):
+        psi = reference.random_pure(rng, 1)
+        mat = np.outer(psi, psi.conj())
+        assert abs(oracle._smallest_eigenvalue(mat) - np.linalg.eigvalsh(mat)[0]) <= 1e-15
+
+
 def test_density_matrix_helpers():
     mixed = DensityMatrix.maximally_mixed(2)
     assert mixed.purity() == pytest.approx(0.25)

@@ -21,6 +21,7 @@ from xxqst import (
     boundary_profile,
     build_generator,
     evolve,
+    fidelity,
     perfect_profile,
     protocol,
     run_protocol,
@@ -371,6 +372,30 @@ def test_finish_branch_bounds_its_cleanup():
     for corrupted in (off_hermitian, off_trace):
         with pytest.raises(InternalConsistencyError):
             _finish_branch(config, corrupted, 1, 1, 0.25, REVIVAL_TIME, True)
+
+
+def test_single_qubit_states_are_never_diagonalized(monkeypatch):
+    # the Gaussian pair basis and the sector blocks of a 6-site chain are
+    # larger than 2 x 2, so only a single-qubit matrix reaches the refusal
+    def refusing(solver):
+        def solve(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (2, 2):
+                raise AssertionError(f"{solver.__name__} called on a single-qubit matrix")
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(np.linalg, "eigh", refusing(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refusing(np.linalg.eigvalsh))
+    for medium in ("all-zero", "random-pure"):
+        config = ProtocolConfig(perfect_profile(6), bloch_state(1.1, 0.4), medium=medium, seed=5)
+        for branch in run_protocol_branches(config):
+            assert branch.fidelity_out == pytest.approx(1.0, abs=1e-12)
+        assert run_protocol(config).fidelity_out == pytest.approx(1.0, abs=1e-12)
+    psi = bloch_state(0.7, 2.0)
+    rho = DensityMatrix(1, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    expected = float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))
+    assert fidelity(rho, psi) == expected
+    assert fidelity(psi, rho) == expected
 
 
 def test_correction_is_necessary():

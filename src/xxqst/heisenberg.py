@@ -26,7 +26,6 @@ not Gaussian.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,30 +101,29 @@ class Propagator:
     the roundoff model 64 eps (1 + max|w| |t|) means a convention violation
     and raises ``InternalConsistencyError``.
 
-    Built from a sequence of generators of one length instead of one
-    generator, the propagator holds one eigensystem per generator along a
-    leading batch axis (w of shape (B, N), V of shape (B, N, N)), and every
-    result gains that leading axis, ahead of the time axis; the roundoff
-    bound is then per batch row.  ``generator`` is what it was built from.
+    Built from a 2-D array of coupling rates instead of one generator, row
+    b being chain b's ``Generator.subdiagonal``, the propagator holds one
+    eigensystem per row along a leading batch axis (w of shape (B, N), V of
+    shape (B, N, N)), and every result gains that leading axis, ahead of
+    the time axis; the roundoff bound is then per batch row.  The array
+    must have at least one row and one column and only finite rates, or
+    ``ValueError`` is raised.  ``generator`` is what it was built from: the
+    generator, or a read-only copy of the rates.
     """
 
-    def __init__(self, generator: Generator | Sequence[Generator]):
-        self.generator = generator
+    def __init__(self, generator: Generator | np.ndarray):
         if isinstance(generator, Generator):
-            self._w, self._v = _eigensystem(generator)
+            self.generator = generator
+            self._w, self._v = _eigensystem(np.asarray(generator.subdiagonal))
             self._w_max = float(max(-self._w[0], self._w[-1]))  # dstevd sorts w ascending
             n = generator.dimension
         else:
-            generators = tuple(generator)
-            if not generators:
-                raise ValueError("a stacked propagator needs at least one generator")
-            n = generators[0].dimension
-            if any(g.dimension != n for g in generators):
-                raise ValueError("stacked generators must share one dimension")
-            self._w = np.empty((len(generators), n))
-            self._v = np.empty((len(generators), n, n))
-            for k, g in enumerate(generators):
-                self._w[k], self._v[k] = _eigensystem(g)
+            self.generator = rates = _stacked_rates(generator)
+            n = rates.shape[1] + 1
+            self._w = np.empty((len(rates), n))
+            self._v = np.empty((len(rates), n, n))
+            for k, row in enumerate(rates):
+                self._w[k], self._v[k] = _eigensystem(row)
             self._w_max = np.maximum(-self._w[:, 0], self._w[:, -1])
         self._zeta = np.ones(n, dtype=complex)
         self._zeta[1::2] = 1j
@@ -144,7 +142,15 @@ class Propagator:
         With phi = -w t, Re u = V diag(cos phi) V^T and Im u = V diag(sin
         phi) V^T: one entry takes two real dots, O(N) per time, and more
         take one real GEMM of V[rows] scaled by the stacked [cos; sin]
-        tables against V[cols]^T, per batch row."""
+        tables against V[cols]^T, per batch row.
+
+        With a time axis (a time array or a batch axis), cos and sin run on
+        the first ceil(N/2) eigenvalues only: A has a zero diagonal, so its
+        spectrum comes in pairs w_{N-1-k} = -w_k, and the partner N-1-k
+        takes (cos, -sin); for odd N the middle eigenvalue is unpaired.
+        One entry folds its weights onto that half, more fill the full
+        tables from it.  A pair off by more than 64 eps max|w| in a batch
+        row raises ``InternalConsistencyError``."""
         t = np.asarray(times, dtype=float)
         if not (t.ndim == 0 and math.isfinite(t) or t.ndim == 1 and np.isfinite(t).all()):
             raise ValueError(f"times must be a finite scalar or 1-D array, got {times!r}")
@@ -165,27 +171,53 @@ class Propagator:
             scaled = left[..., None, :] * np.array([np.cos(phase), np.sin(phase)])
             values = (right @ scaled.reshape(-1, len(phase)).T).view(complex)
             return values[:, 0] if one_row else values.T
-        # a time axis after the batch axis, of length 1 for a scalar time
-        phase = self._w[..., None, :] * -t.reshape(-1, 1)
+        self._check_pairs()
+        # a time axis after the batch axis, of length 1 for a scalar time;
+        # pairs = N // 2 eigenvalues k < pairs have the partner N-1-k
+        n = self._w.shape[-1]
+        half, pairs = (n + 1) // 2, n // 2
+        phase = self._w[..., None, :half] * -t.reshape(-1, 1)
         shape = batch + t.shape + left.shape[len(batch):-1] + right.shape[len(batch):-1]
         if one_row and one_col:
-            weights = (left * right)[..., None]
-            return _complex((np.cos(phase) @ weights).reshape(shape),
-                            (np.sin(phase) @ weights).reshape(shape))
+            # Re = cos . (W_k + W_{N-1-k}), Im = sin . (W_k - W_{N-1-k})
+            weights = left * right
+            partners = weights[..., ::-1][..., :pairs]
+            even = weights[..., :half].copy()
+            odd = even.copy()
+            even[..., :pairs] += partners
+            odd[..., :pairs] -= partners
+            return _complex((np.cos(phase) @ even[..., None]).reshape(shape),
+                            (np.sin(phase) @ odd[..., None]).reshape(shape))
         if one_row:
             left = left[..., None, :]
         if one_col:
             right = right[..., None, :]
         # every (time, row) pair of the cos table, then of the sin table,
         # against the columns
-        table = np.concatenate([np.cos(phase), np.sin(phase)], axis=-2)
+        nt = phase.shape[-2]
+        table = np.empty(batch + (2 * nt, n))
+        cos, sin = table[..., :nt, :], table[..., nt:, :]
+        np.cos(phase, out=cos[..., :half])
+        np.sin(phase, out=sin[..., :half])
         del phase
+        cos[..., half:] = cos[..., :pairs][..., ::-1]
+        np.negative(sin[..., :pairs][..., ::-1], out=sin[..., half:])
         scaled = table[..., :, None, :] * left[..., None, :, :]
-        del table
+        del table, cos, sin
         product = scaled.reshape(batch + (-1, scaled.shape[-1])) @ right.swapaxes(-1, -2)
         del scaled
-        half = product.shape[-2] // 2
-        return _complex(product[..., :half, :].reshape(shape), product[..., half:, :].reshape(shape))
+        split = product.shape[-2] // 2
+        return _complex(product[..., :split, :].reshape(shape), product[..., split:, :].reshape(shape))
+
+    def _check_pairs(self):
+        """The pairing w_{N-1-k} = -w_k that the time-axis branch of
+        :meth:`entries` folds on, within 64 eps max|w| per batch row."""
+        gap = np.abs(self._w + self._w[..., ::-1]).max(axis=-1)
+        bound = _RESIDUE_FACTOR * _EPS * self._w_max
+        if not np.all(gap <= bound):
+            raise InternalConsistencyError(
+                f"spectrum not paired as +-w: max|w_k + w_(N-1-k)| is "
+                f"{np.max(gap / bound):.3g} times its bound 64 eps max|w|")
 
     def _real(self, values, times, what: str):
         """Real part of entries of zeta o u at times (axes: batch, time, then
@@ -246,12 +278,29 @@ def _complex(real, imag):
     return values
 
 
-def _eigensystem(generator: Generator):
-    """(w, V) of the symmetric tridiagonal A of one generator, w ascending."""
-    n = generator.dimension
+def _stacked_rates(rates) -> np.ndarray:
+    """A read-only float copy of a stack of coupling rates, one chain per
+    row, after checking it is 2-D, non-empty and finite."""
+    try:
+        rates = np.array(rates, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"stacked coupling rates must form a 2-D float array: {exc}") from None
+    if rates.ndim != 2 or not rates.size:
+        raise ValueError("stacked coupling rates must be a 2-D array with at least one row "
+                         f"and one column, got shape {rates.shape}")
+    if not np.isfinite(rates).all():
+        raise ValueError("stacked coupling rates must be finite reals")
+    rates.flags.writeable = False
+    return rates
+
+
+def _eigensystem(subdiagonal: np.ndarray):
+    """(w, V) of the symmetric tridiagonal A with a zero diagonal and the
+    given subdiagonal rates, w ascending."""
     # the driver eigh_tridiagonal picks for all eigenpairs, without its
-    # wrapper; Generator has already checked the subdiagonal is finite
-    w, v, info = dstevd(np.zeros(n), np.asarray(generator.subdiagonal))
+    # wrapper; Generator and _stacked_rates have already checked the rates
+    # are finite
+    w, v, info = dstevd(np.zeros(len(subdiagonal) + 1), subdiagonal)
     if info != 0:
         raise InternalConsistencyError(f"tridiagonal eigensolver dstevd returned info={info}")
     return w, v

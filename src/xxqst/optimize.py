@@ -43,9 +43,11 @@ _MAX_ROUNDS = 20
 # an alpha_N^2 below this is roundoff, not transfer
 _ESTIMATE_FLOOR = 1e-12
 # float64 elements (8 MiB) that one chunk of sweep rows may hold at once:
-# its (B, n, n) eigenvector stack and two (B, nt, n) phase tables.  At the
-# default grid that is every row in one chunk up to n = 45 and one row per
-# chunk from n = 635; a lone row may exceed it
+# its (B, n, n) eigenvector stack and two (B, nt, n) phase tables.  The
+# phase, cos and sin tables cover only the ceil(n/2) eigenvalues of one sign
+# (Propagator.entries), so the count over-states them.  At the default grid
+# that is every row in one chunk up to n = 45 and one row per chunk from
+# n = 635; a lone row may exceed it
 _SWEEP_BUDGET = 2**20
 
 
@@ -138,11 +140,14 @@ def sweep(
     inside a fixed coherence window.
 
     The eta rows are evaluated in chunks, each by one stacked
-    ``Propagator`` over the chunk's chains and one ``end_weights`` call on
-    every time.  A chunk holds as many rows as keep its (B, n, n)
-    eigenvector stack and two (B, nt, n) phase tables within
+    ``Propagator`` over the chunk's coupling rates 2 [eta, 1, ..., 1, eta],
+    built as one array with no profile or generator per row, and one
+    ``end_weights`` call on every time.  A chunk holds as many rows as keep
+    its (B, n, n) eigenvector stack and two (B, nt, n) phase tables within
     _SWEEP_BUDGET elements, and at least one.
     """
+    if n < 4:
+        raise ValueError(f"boundary profile needs n >= 4, got {n}")
     if isinstance(resolution, int):
         res_eta = res_t = resolution
     else:
@@ -155,11 +160,13 @@ def sweep(
     t_values = _axis(t_range, res_t)
     surface = np.empty((res_eta, res_t))
     chunk = max(1, _SWEEP_BUDGET // (n * (n + 2 * res_t)))
+    # the two boundary bonds, which take eta; the rest are uniform
+    ends = np.zeros(n - 1, dtype=bool)
+    ends[[0, -1]] = True
     for lo in range(0, res_eta, chunk):
+        rates = 2.0 * np.where(ends, eta_values[lo:lo + chunk, None], 1.0)
         # one statement, so the chunk's stack is freed before the next is built
-        surface[lo:lo + chunk] = Propagator([
-            build_generator(boundary_profile(n, float(eta))) for eta in eta_values[lo:lo + chunk]
-        ]).end_weights(t_values)
+        surface[lo:lo + chunk] = Propagator(rates).end_weights(t_values)
     best = float(surface.max())
     ties = np.argwhere(surface == best)
     # lexicographic (t index, eta index): smaller t wins, then smaller eta

@@ -23,6 +23,7 @@ ones); the Gaussian mediums take :mod:`xxqst.heisenberg`.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import os
@@ -195,12 +196,21 @@ class DensityMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.view(float))):
-            raise ValueError("matrix entries must be finite")
-        tr = np.trace(mat)
+        if dim == 2:
+            # one qubit: the same checks on the four entries as Python
+            # scalars, where numpy's per-call cost would dominate
+            (a, b), (c, d) = mat.tolist()
+            if not all(map(cmath.isfinite, (a, b, c, d))):
+                raise ValueError("matrix entries must be finite")
+            tr = a + d
+            herm_dev = max(abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate()))
+        else:
+            if not np.all(np.isfinite(mat.view(float))):
+                raise ValueError("matrix entries must be finite")
+            tr = np.trace(mat)
+            herm_dev = np.max(np.abs(mat - mat.conj().T))
         if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-        herm_dev = np.max(np.abs(mat - mat.conj().T))
+            raise ValueError(f"trace must be 1, got {np.complex128(tr)!r}")
         if herm_dev > 1e-12:
             raise ValueError(f"matrix not Hermitian: deviation {herm_dev:.3e}")
         if dim <= 2048:

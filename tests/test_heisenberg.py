@@ -6,6 +6,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from xxqst import (
     CouplingProfile,
+    Generator,
     InternalConsistencyError,
     Propagator,
     StateVector,
@@ -203,30 +204,44 @@ def test_tridiagonal_solve_matches_eigh_tridiagonal(rng):
         assert np.array_equal(prop.entries(0.7, list(range(gen.dimension))), u)
 
 
+def _wrap(index, n):
+    """An index or list of indices taken mod n, so one set of cases serves
+    every chain length."""
+    return index % n if isinstance(index, int) else [i % n for i in index]
+
+
+# (rows, cols) cases of entries, as indices into a 7-site chain
+_ENTRY_CASES = ((0, None), (0, -1), (3, 0), ([0, -1], None), ([0, -1], [2, 0]),
+                (3, [1, 4]), ([0, -1], 2), ([1, 5], 2))
+
+
 def test_entries_take_ints_lists_and_time_arrays(rng):
-    n = 7
-    prop = Propagator(build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))))
-    times = np.array([0.0, 0.4, -1.3])
-    full = np.stack([prop.entries(t, list(range(n))) for t in times])
-    assert np.max(np.abs(full[0] - np.eye(n))) < 1e-15
-    # u is unitary and symmetric
-    assert np.max(np.abs(full[1] @ full[1].conj().T - np.eye(n))) < 1e-14
-    assert np.max(np.abs(full[1] - full[1].T)) < 1e-15
-    for rows, cols in ((0, None), (0, -1), (3, 0), ([0, n - 1], None), ([0, n - 1], [2, 0]),
-                       (3, [1, 4]), ([0, n - 1], 2)):
-        stacked = prop.entries(times, rows, cols)
-        cut = full[:, rows] if cols is None else full[:, rows][..., cols]
-        assert stacked.shape == cut.shape
-        assert np.max(np.abs(stacked - cut)) < 1e-15
-        for t, one in zip(times, cut):
-            assert np.max(np.abs(prop.entries(t, rows, cols) - one)) < 1e-15
+    # even and odd N: the time-array branch folds the +-w pairs, and odd N
+    # leaves the middle eigenvalue unpaired
+    for n in (2, 3, 4, 7):
+        prop = Propagator(build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))))
+        times = np.array([0.0, 0.4, -1.3])
+        full = np.stack([prop.entries(t, list(range(n))) for t in times])
+        assert np.max(np.abs(full[0] - np.eye(n))) < 1e-15
+        # u is unitary and symmetric
+        assert np.max(np.abs(full[1] @ full[1].conj().T - np.eye(n))) < 1e-14
+        assert np.max(np.abs(full[1] - full[1].T)) < 1e-15
+        for rows, cols in _ENTRY_CASES[:-1]:
+            rows, cols = _wrap(rows, n), None if cols is None else _wrap(cols, n)
+            stacked = prop.entries(times, rows, cols)
+            cut = full[:, rows] if cols is None else full[:, rows][..., cols]
+            assert stacked.shape == cut.shape
+            assert np.max(np.abs(stacked - cut)) < 1e-15
+            for t, one in zip(times, cut):
+                assert np.max(np.abs(prop.entries(t, rows, cols) - one)) < 1e-15
 
 
 def test_residue_check_fires_on_a_broken_phase_convention(monkeypatch):
     gen = build_generator(perfect_profile(6))
     times = np.linspace(0.1, 1.0, 5)
     # one chain, and a stack of two
-    for prop in (Propagator(gen), Propagator([gen, build_generator(boundary_profile(6, 0.7))])):
+    rates = np.array([gen.subdiagonal, build_generator(boundary_profile(6, 0.7)).subdiagonal])
+    for prop in (Propagator(gen), Propagator(rates)):
         # zeta = 1 everywhere drops the factor i of the even-numbered strings,
         # the sixth, alpha_N, among them
         monkeypatch.setattr(prop, "_zeta", np.ones(6, dtype=complex))
@@ -261,7 +276,7 @@ def test_residue_bound_is_per_batch_row(monkeypatch):
     # a slow chain and a fast one: an imaginary part just inside the fast
     # chain's bound passes on its own row and fires on the slow row
     slow, fast = (build_generator(CouplingProfile(5, (c,) * 4)) for c in (0.1, 2.0))
-    prop = Propagator([slow, fast])
+    prop = Propagator(np.array([slow.subdiagonal, fast.subdiagonal]))
     entries, t = prop.entries, 0.7
     bounds = 64 * np.finfo(float).eps * (1 + np.abs(prop.eigenvalues).max(axis=1) * t)
     assert bounds[1] > 1.5 * bounds[0]
@@ -275,32 +290,114 @@ def test_residue_bound_is_per_batch_row(monkeypatch):
 
 
 def test_stacked_propagator_is_a_batch_of_single_ones(rng):
-    n = 7
-    gens = [build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))) for _ in range(3)]
-    stacked, singles = Propagator(gens), [Propagator(g) for g in gens]
-    assert np.array_equal(stacked.eigenvalues, np.stack([p.eigenvalues for p in singles]))
-    for times in (0.4, np.array([0.0, 0.4, -1.3])):
-        for rows, cols in ((0, None), (0, -1), ([0, n - 1], None), ([0, n - 1], [2, 0]),
-                           (3, [1, 4]), ([1, 5], 2)):
-            batch = stacked.entries(times, rows, cols)
-            each = np.stack([p.entries(times, rows, cols) for p in singles])
-            assert batch.shape == each.shape
-            assert np.max(np.abs(batch - each)) < 1e-15
-        for name in ("coefficients_many", "end_weights"):
-            batch = getattr(stacked, name)(times)
-            each = np.stack([getattr(p, name)(times) for p in singles])
-            assert batch.shape == each.shape
-            assert np.max(np.abs(batch - each)) < 1e-15
-    batch = stacked.thermal_correlation(0.8)
-    each = np.stack([p.thermal_correlation(0.8) for p in singles])
-    assert np.max(np.abs(batch - each)) < 1e-15
+    for n in (2, 3, 4, 7):
+        rates = rng.random((3, n - 1)) + 0.2
+        stacked, singles = Propagator(rates), [Propagator(Generator(n, tuple(row))) for row in rates]
+        assert np.array_equal(stacked.eigenvalues, np.stack([p.eigenvalues for p in singles]))
+        for times in (0.4, np.array([0.0, 0.4, -1.3])):
+            for rows, cols in _ENTRY_CASES:
+                rows, cols = _wrap(rows, n), None if cols is None else _wrap(cols, n)
+                batch = stacked.entries(times, rows, cols)
+                each = np.stack([p.entries(times, rows, cols) for p in singles])
+                assert batch.shape == each.shape
+                assert np.max(np.abs(batch - each)) < 1e-15
+            for name in ("coefficients_many", "end_weights"):
+                batch = getattr(stacked, name)(times)
+                each = np.stack([getattr(p, name)(times) for p in singles])
+                assert batch.shape == each.shape
+                assert np.max(np.abs(batch - each)) < 1e-15
+        batch = stacked.thermal_correlation(0.8)
+        each = np.stack([p.thermal_correlation(0.8) for p in singles])
+        assert np.max(np.abs(batch - each)) < 1e-15
 
 
 def test_stacked_propagator_needs_generators_of_one_length():
-    with pytest.raises(ValueError, match="one dimension"):
-        Propagator([build_generator(perfect_profile(5)), build_generator(perfect_profile(6))])
-    with pytest.raises(ValueError, match="at least one"):
-        Propagator([])
+    rows = [build_generator(perfect_profile(n)).subdiagonal for n in (5, 6)]
+    with pytest.raises(ValueError, match="2-D"):
+        Propagator(rows)
+    with pytest.raises(ValueError, match="at least one row"):
+        Propagator(np.empty((0, 4)))
+
+
+@pytest.mark.parametrize("rates", [
+    [[1.0, 2.0], [1.0]],                  # ragged rows
+    [],                                   # no rows
+    np.empty((0, 3)),                     # no rows, two dimensions
+    np.empty((2, 0)),                     # no columns
+    np.ones(3),                           # 1-D
+    np.ones((2, 3, 3)),                   # 3-D
+    [[1.0, math.nan]],
+    [[1.0, 1.0], [math.inf, 1.0]],
+    [[-math.inf, 1.0]],
+    [build_generator(perfect_profile(3))],
+])
+def test_stacked_propagator_validates_its_rates(rates):
+    with pytest.raises(ValueError, match="stacked coupling rates"):
+        Propagator(rates)
+
+
+def test_stacked_rates_are_copied_read_only():
+    rates = np.ones((2, 3))
+    prop = Propagator(rates)
+    rates[0, 0] = 5.0
+    assert prop.generator[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        prop.generator[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_unpaired_spectrum_raises_on_the_folded_branch(rng, monkeypatch, n):
+    # the time-axis branch folds w_(N-1-k) = -w_k; a pair broken by 100 eps
+    # max|w|, past the 64 eps max|w| bound, must raise there, while the
+    # scalar branch, which takes every eigenvalue as it is, still runs
+    times = np.array([0.3, 1.1])
+    for prop in (Propagator(build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2)))),
+                 Propagator(rng.random((2, n - 1)) + 0.2)):
+        w = prop.eigenvalues
+        w[..., 0] += 100 * np.finfo(float).eps * np.abs(w).max(axis=-1)
+        monkeypatch.setattr(prop, "_w", w)
+        for call in (prop.end_weights, prop.coefficients_many):
+            with pytest.raises(InternalConsistencyError, match="not paired"):
+                call(times)
+        if w.ndim == 1:
+            prop.end_weights(0.7)
+            prop.coefficients(0.7)
+            prop.entries(0.7, [0, n - 1])
+        else:
+            with pytest.raises(InternalConsistencyError, match="not paired"):
+                prop.end_weights(0.7)
+
+
+def _perfect_chain_coefficients(n, t):
+    """alpha_k(t) = (-1)^floor((k-1)/2) sqrt(C(N-1, k-1)) cos^(N-k)(2t)
+    sin^(k-1)(2t), k = 1..N, on the perfect chain; the binomial through
+    log-gamma, so long chains neither overflow nor underflow early."""
+    k = np.arange(1, n + 1)
+    c, s = math.cos(2 * t), math.sin(2 * t)
+    log_binom = np.array([math.lgamma(n) - math.lgamma(j) - math.lgamma(n - j + 1) for j in k])
+    magnitude = np.exp(0.5 * log_binom + (n - k) * math.log(abs(c)) + (k - 1) * math.log(abs(s)))
+    sign = (-1.0) ** ((k - 1) // 2) * np.sign(c) ** (n - k) * np.sign(s) ** (k - 1)
+    return sign * magnitude
+
+
+def test_perfect_chain_matches_its_closed_form():
+    # an exact long-chain reference with no 2**n matrix, for the time-array
+    # branch (its filled table, and its folded single entry through
+    # end_weights) and the scalar branch alike, within the residue bound's
+    # roundoff model 64 eps (1 + max|w| t); alpha_N^2 within twice that, as
+    # |a^2 - b^2| <= 2 |a - b| for |a|, |b| <= 1
+    times = np.array([0.1, 0.3, 0.7, 1.1, 2.0, 5.0])
+    eps = np.finfo(float).eps
+    for n in list(range(2, 65)) + [999, 1000]:
+        prop = Propagator(build_generator(perfect_profile(n)))
+        w_max = np.abs(prop.eigenvalues).max()
+        many, weights = prop.coefficients_many(times), prop.end_weights(times)
+        for t, row, weight in zip(times, many, weights):
+            expected = _perfect_chain_coefficients(n, t)
+            bound = 64 * eps * (1 + w_max * t)
+            assert np.max(np.abs(row - expected)) <= bound
+            assert np.max(np.abs(prop.coefficients(t) - expected)) <= bound
+            assert abs(weight - expected[-1] ** 2) <= 2 * bound
 
 
 def test_propagator_reusable_and_deterministic():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,37 @@ def test_density_matrix_validation(rng):
         DensityMatrix(1, np.array([[0.5, 0.5], [0.1, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize("n_sites", [1, 2])
+def test_density_matrix_trace_and_hermiticity_bounds(n_sites):
+    # one qubit checks its four entries as Python scalars, more qubits as
+    # arrays; both hold the trace to 1e-10 and Hermiticity to 1e-12
+    dim = 2**n_sites
+    for factor, accepted in ((0.9, True), (1.1, False)):
+        cases = []
+        for entry, shift, match in (((0, 0), 1e-10, "trace must be 1"),
+                                    ((0, 1), 1e-12, "not Hermitian"),
+                                    ((1, 0), 1e-12j, "not Hermitian"),
+                                    ((0, 0), 0.5e-12j, "not Hermitian")):
+            mat = np.eye(dim, dtype=complex) / dim
+            mat[0, 1] = mat[1, 0] = 0.1 / dim
+            mat[entry] += factor * shift
+            cases.append((mat, match))
+        for mat, match in cases:
+            if accepted:
+                DensityMatrix(n_sites, mat)
+            else:
+                with pytest.raises(ValueError, match=match):
+                    DensityMatrix(n_sites, mat)
+
+
+def test_density_matrix_messages():
+    # the trace as numpy's repr of a complex128, as np.trace returns it
+    with pytest.raises(ValueError, match=re.escape(f"trace must be 1, got {np.complex128(2)!r}")):
+        DensityMatrix(1, np.eye(2))
+    with pytest.raises(ValueError, match=re.escape("matrix not Hermitian: deviation 4.000e-01")):
+        DensityMatrix(1, np.array([[0.5, 0.5], [0.1, 0.5]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

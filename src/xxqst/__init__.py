@@ -3,8 +3,8 @@ on nearest-neighbour XX spin chains.
 
 Layers, from cheap to exact:
 
-- chain: coupling profiles, the chain Hamiltonian and the coefficient
-  evolution generator.
+- chain: coupling profiles, their coupling rates (the coefficient engine's
+  one chain input) and the chain Hamiltonian.
 - heisenberg: polynomial-cost propagation of evolved end-site operator
   coefficients, and the end-site expectations behind the exact protocol
   on Gaussian mediums (Wick's theorem in an exterior algebra).
@@ -19,9 +19,7 @@ __version__ = "0.1.0"
 
 from .chain import (
     CouplingProfile,
-    Generator,
     boundary_profile,
-    build_generator,
     build_hamiltonian_action,
     dense_hamiltonian,
     perfect_profile,
@@ -86,10 +84,8 @@ from .protocol import (
 __all__ = [
     "__version__",
     "CouplingProfile",
-    "Generator",
     "perfect_profile",
     "boundary_profile",
-    "build_generator",
     "build_hamiltonian_action",
     "dense_hamiltonian",
     "CoefficientVector",

@@ -9,16 +9,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
     "CouplingProfile",
-    "Generator",
     "perfect_profile",
     "boundary_profile",
-    "build_generator",
     "build_hamiltonian_action",
     "dense_hamiltonian",
     "sector_blocks",
@@ -44,6 +43,15 @@ class CouplingProfile:
         if not all(map(math.isfinite, couplings)):
             raise ValueError("couplings must be finite reals")
         object.__setattr__(self, "couplings", couplings)
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """The coupling rates g_i = 2 J_i, a read-only float array: the chain
+        as the coefficient engine and the Hamiltonian's hopping amplitudes
+        see it."""
+        rates = 2.0 * np.array(self.couplings)
+        rates.flags.writeable = False
+        return rates
 
     def is_centrosymmetric(self, tol: float = 1e-12) -> bool:
         """True when J_i = J_{N-i} within tol, i.e. the chain looks the same
@@ -88,47 +96,6 @@ def boundary_profile(n: int, eta: float) -> CouplingProfile:
     return CouplingProfile(n, couplings, f"boundary(eta={eta:g})")
 
 
-@dataclass(frozen=True)
-class Generator:
-    """Real antisymmetric generator of the end-site operator coefficients.
-
-    ``subdiagonal`` stores the coupling rates g_i = 2 J_i.  The matrix
-    realisation staggers their signs (+g_1, -g_2, +g_3, ...) below the
-    diagonal: that staggering is what conjugation by the chain Hamiltonian
-    actually produces in the alternating X/Y string basis, and the
-    cross-engine tests pin it.
-    """
-
-    dimension: int
-    subdiagonal: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
-        sub = tuple(float(g) for g in self.subdiagonal)
-        if len(sub) != self.dimension - 1:
-            raise ValueError(
-                f"expected {self.dimension - 1} subdiagonal entries, got {len(sub)}"
-            )
-        if not all(map(math.isfinite, sub)):
-            raise ValueError("subdiagonal entries must be finite reals")
-        object.__setattr__(self, "subdiagonal", sub)
-
-    def matrix(self) -> np.ndarray:
-        """Dense antisymmetric matrix with the staggered sign convention."""
-        n = self.dimension
-        m = np.zeros((n, n))
-        for i, g in enumerate(self.subdiagonal):
-            signed = g if i % 2 == 0 else -g
-            m[i + 1, i] = signed
-            m[i, i + 1] = -signed
-        return m
-
-
-def build_generator(profile: CouplingProfile) -> Generator:
-    return Generator(profile.n_sites, tuple(2.0 * c for c in profile.couplings))
-
-
 def _bond_indices(n: int, bond: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices coupled by bond `bond` (1-based): states whose bits at
     sites bond, bond+1 differ, and their partners with the pair flipped."""
@@ -149,7 +116,7 @@ def build_hamiltonian_action(profile: CouplingProfile) -> Callable[[np.ndarray],
     conserved.
     """
     n = profile.n_sites
-    bonds = [(_bond_indices(n, b), 2.0 * profile.couplings[b - 1]) for b in range(1, n)]
+    bonds = [(_bond_indices(n, b), profile.rates[b - 1]) for b in range(1, n)]
 
     def action(psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi)
@@ -177,7 +144,7 @@ def sector_blocks(profile: CouplingProfile) -> Iterator[tuple[np.ndarray, np.nda
         for b in range(1, n):
             src, dst = _bond_indices(n, b)
             mask = occ[src] == k
-            block[position[dst[mask]], position[src[mask]]] += 2.0 * profile.couplings[b - 1]
+            block[position[dst[mask]], position[src[mask]]] += profile.rates[b - 1]
         yield idx, block
 
 

@@ -6,10 +6,13 @@ N-dimensional operator subspace spanned by the strings
     s_k = Z_1 ... Z_{k-1} X_k   (k odd)
     s_k = Z_1 ... Z_{k-1} Y_k   (k even)
 
-with real coefficients alpha_k(t) obeying a linear first-order system whose
-generator is the staggered antisymmetric matrix of ``chain.Generator``.  The
-mirrored family propagates X_N through the site-reversed strings and equals
-forward propagation under the reversed coupling profile.
+with real coefficients alpha_k(t) obeying d alpha/dt = M alpha.  The
+commutator i[H, s_k] holds only s_{k-1} and s_{k+1}, weighted by the
+coupling rates g_{k-1} and g_k (g_i = 2 J_i), and in the alternating X/Y
+basis their signs stagger: M is real, antisymmetric and tridiagonal with
+subdiagonal +g_1, -g_2, +g_3, ... (the cross-engine tests pin it).  The
+mirrored family propagates X_N through the site-reversed strings and
+equals forward propagation under the reversed coupling profile.
 
 The chain is a free-fermion model, and the same tridiagonal eigensystem
 gives the exact transfer protocol on Gaussian mediums (all-zero,
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dstevd
 
-from .chain import CouplingProfile, Generator, build_generator
+from .chain import CouplingProfile
 from .errors import InternalConsistencyError
 
 __all__ = [
@@ -89,37 +92,36 @@ class CoefficientTrace:
 
 
 class Propagator:
-    """Exact coefficient propagator for one generator, reusable across times.
+    """Exact coefficient propagator for one chain, reusable across times.
 
-    The staggered antisymmetric generator M is similar to a real symmetric
-    tridiagonal matrix A = V diag(w) V^T with off-diagonal g_i = 2 J_i
-    through the phases zeta = (1, i, 1, i, ...).  Every number of this engine
-    comes from the single-particle propagator u(t) = V exp(-i w t) V^T, which
+    The chain enters as its coupling rates g_i = 2 J_i (``CouplingProfile.rates``).
+    The staggered antisymmetric generator M of the coefficients (below the
+    diagonal +g_1, -g_2, +g_3, ...) is similar to the real symmetric
+    tridiagonal matrix A = V diag(w) V^T with off-diagonal g through the
+    phases zeta = (1, i, 1, i, ...).  Every number of this engine comes
+    from the single-particle propagator u(t) = V exp(-i w t) V^T, which
     :meth:`entries` evaluates in real arithmetic: exp(M t) e_1 = zeta o u[0, :]
     (X_1, forward strings), zeta o u[N-1, ::-1] (X_N, mirrored strings) and
     alpha_N(t) = zeta_N u_1N.  These are real up to roundoff; a residue past
     the roundoff model 64 eps (1 + max|w| |t|) means a convention violation
     and raises ``InternalConsistencyError``.
 
-    Built from a 2-D array of coupling rates instead of one generator, row
-    b being chain b's ``Generator.subdiagonal``, the propagator holds one
-    eigensystem per row along a leading batch axis (w of shape (B, N), V of
-    shape (B, N, N)), and every result gains that leading axis, ahead of
-    the time axis; the roundoff bound is then per batch row.  The array
-    must have at least one row and one column and only finite rates, or
-    ``ValueError`` is raised.  ``generator`` is what it was built from: the
-    generator, or a read-only copy of the rates.
+    A 1-D array of rates is one chain.  A 2-D array is a stack of chains,
+    one per row: the propagator holds one eigensystem per row along a
+    leading batch axis (w of shape (B, N), V of shape (B, N, N)), and every
+    result gains that leading axis, ahead of the time axis; the roundoff
+    bound is then per batch row.  The rates must have at least one column
+    (and one row when 2-D) and be finite, or ``ValueError`` is raised.
+    ``rates`` is a read-only copy of them.
     """
 
-    def __init__(self, generator: Generator | np.ndarray):
-        if isinstance(generator, Generator):
-            self.generator = generator
-            self._w, self._v = _eigensystem(np.asarray(generator.subdiagonal))
+    def __init__(self, rates):
+        self.rates = rates = _chain_rates(rates)
+        n = rates.shape[-1] + 1
+        if rates.ndim == 1:
+            self._w, self._v = _eigensystem(rates)
             self._w_max = float(max(-self._w[0], self._w[-1]))  # dstevd sorts w ascending
-            n = generator.dimension
         else:
-            self.generator = rates = _stacked_rates(generator)
-            n = rates.shape[1] + 1
             self._w = np.empty((len(rates), n))
             self._v = np.empty((len(rates), n, n))
             for k, row in enumerate(rates):
@@ -278,18 +280,18 @@ def _complex(real, imag):
     return values
 
 
-def _stacked_rates(rates) -> np.ndarray:
-    """A read-only float copy of a stack of coupling rates, one chain per
-    row, after checking it is 2-D, non-empty and finite."""
+def _chain_rates(rates) -> np.ndarray:
+    """A read-only float copy of coupling rates, one chain (1-D) or one
+    chain per row (2-D), after checking they are non-empty and finite."""
     try:
         rates = np.array(rates, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"stacked coupling rates must form a 2-D float array: {exc}") from None
-    if rates.ndim != 2 or not rates.size:
-        raise ValueError("stacked coupling rates must be a 2-D array with at least one row "
+        raise ValueError(f"coupling rates must form a 1-D or 2-D float array: {exc}") from None
+    if rates.ndim not in (1, 2) or not rates.size:
+        raise ValueError("coupling rates must be a 1-D or 2-D array with at least one row "
                          f"and one column, got shape {rates.shape}")
     if not np.isfinite(rates).all():
-        raise ValueError("stacked coupling rates must be finite reals")
+        raise ValueError("coupling rates must be finite reals")
     rates.flags.writeable = False
     return rates
 
@@ -298,8 +300,7 @@ def _eigensystem(subdiagonal: np.ndarray):
     """(w, V) of the symmetric tridiagonal A with a zero diagonal and the
     given subdiagonal rates, w ascending."""
     # the driver eigh_tridiagonal picks for all eigenpairs, without its
-    # wrapper; Generator and _stacked_rates have already checked the rates
-    # are finite
+    # wrapper; _chain_rates has already checked the rates are finite
     w, v, info = dstevd(np.zeros(len(subdiagonal) + 1), subdiagonal)
     if info != 0:
         raise InternalConsistencyError(f"tridiagonal eigensolver dstevd returned info={info}")
@@ -474,7 +475,10 @@ def gaussian_end_expectations(
     This costs O(N) after the pair basis, with no division by delta.  The
     terms linear in c flip sign with it, so one evaluation serves both rows.
     """
-    n = propagator.generator.dimension
+    if propagator.rates.ndim != 1:
+        raise ValueError("gaussian_end_expectations needs a propagator of one chain, "
+                         f"got a stack of {len(propagator.rates)}")
+    n = propagator.rates.shape[0] + 1
     corr = np.asarray(medium_correlation, dtype=float)
     if corr.shape != (n - 2, n - 2):
         raise ValueError(f"expected a {n - 2} x {n - 2} medium correlation, got shape {corr.shape}")
@@ -514,20 +518,20 @@ def gaussian_end_expectations(
     return np.stack([parts[0] + parts[1], parts[0] - parts[1]])
 
 
-def propagate(generator: Generator, time: float) -> CoefficientVector:
+def propagate(profile: CouplingProfile, time: float) -> CoefficientVector:
     """Coefficients of X_1(t) in the forward string basis."""
-    values = Propagator(generator).coefficients(float(time))
+    values = Propagator(profile.rates).coefficients(float(time))
     return CoefficientVector(float(time), values, "site1")
 
 
-def mirror_propagate(generator: Generator, time: float) -> CoefficientVector:
+def mirror_propagate(profile: CouplingProfile, time: float) -> CoefficientVector:
     """Coefficients of X_N(t) in the mirrored string basis.
 
-    Equivalent to forward propagation with the subdiagonal reversed, from
-    the same eigensystem; for centro-symmetric profiles the two families
+    Equivalent to forward propagation under the reversed profile, from the
+    same eigensystem; for centro-symmetric profiles the two families
     coincide.
     """
-    values = Propagator(generator)._strings(float(time), "siteN")
+    values = Propagator(profile.rates)._strings(float(time), "siteN")
     return CoefficientVector(float(time), values, "siteN")
 
 
@@ -544,7 +548,7 @@ def coefficient_trace(
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     times = np.linspace(0.0, t_max, steps)
-    values = Propagator(build_generator(profile))._strings(times, origin)
+    values = Propagator(profile.rates)._strings(times, origin)
     return CoefficientTrace(times, values, origin)
 
 
@@ -552,4 +556,4 @@ def estimate_fidelity(profile: CouplingProfile, time: float) -> float:
     """Transfer estimate alpha_N(t)^2, the weight of the fully transferred
     string in X_1(t).  Equals the exact transfer fidelity only at perfect
     revival; elsewhere it is the quantity the profile search optimises."""
-    return Propagator(build_generator(profile)).end_weights(float(time))
+    return Propagator(profile.rates).end_weights(float(time))

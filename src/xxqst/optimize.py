@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import CouplingProfile, boundary_profile, build_generator
+from .chain import CouplingProfile
 from .heisenberg import Propagator, estimate_fidelity
 from .protocol import AverageFidelityResult, average_fidelity
 
@@ -140,14 +140,12 @@ def sweep(
     inside a fixed coherence window.
 
     The eta rows are evaluated in chunks, each by one stacked
-    ``Propagator`` over the chunk's coupling rates 2 [eta, 1, ..., 1, eta],
-    built as one array with no profile or generator per row, and one
+    ``Propagator`` over the chunk's rows of coupling rates
+    2 [eta, 1, ..., 1, eta] (one array, no profile per row), and one
     ``end_weights`` call on every time.  A chunk holds as many rows as keep
     its (B, n, n) eigenvector stack and two (B, nt, n) phase tables within
     _SWEEP_BUDGET elements, and at least one.
     """
-    if n < 4:
-        raise ValueError(f"boundary profile needs n >= 4, got {n}")
     if isinstance(resolution, int):
         res_eta = res_t = resolution
     else:
@@ -158,15 +156,12 @@ def sweep(
     if eta_values[0] <= 0:
         raise ValueError("eta range must be positive")
     t_values = _axis(t_range, res_t)
+    rates = _boundary_rates(n, eta_values)
     surface = np.empty((res_eta, res_t))
     chunk = max(1, _SWEEP_BUDGET // (n * (n + 2 * res_t)))
-    # the two boundary bonds, which take eta; the rest are uniform
-    ends = np.zeros(n - 1, dtype=bool)
-    ends[[0, -1]] = True
     for lo in range(0, res_eta, chunk):
-        rates = 2.0 * np.where(ends, eta_values[lo:lo + chunk, None], 1.0)
         # one statement, so the chunk's stack is freed before the next is built
-        surface[lo:lo + chunk] = Propagator(rates).end_weights(t_values)
+        surface[lo:lo + chunk] = Propagator(rates[lo:lo + chunk]).end_weights(t_values)
     best = float(surface.max())
     ties = np.argwhere(surface == best)
     # lexicographic (t index, eta index): smaller t wins, then smaller eta
@@ -183,6 +178,17 @@ def sweep(
     for arr in (eta_values, t_values, surface):
         arr.flags.writeable = False
     return result
+
+
+def _boundary_rates(n: int, eta) -> np.ndarray:
+    """Coupling rates 2 [eta, 1, ..., 1, eta] of the boundary family on n
+    sites: one chain for a float eta, one row per entry of a 1-D array."""
+    if n < 4:
+        raise ValueError(f"boundary profile needs n >= 4, got {n}")
+    # the two boundary bonds, which take eta; the rest are uniform
+    ends = np.zeros(n - 1, dtype=bool)
+    ends[[0, -1]] = True
+    return 2.0 * np.where(ends, np.asarray(eta)[..., None], 1.0)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -301,18 +307,17 @@ def refine(
                         ("t_window", t_window)):
         _check_positive(name, value)
     eta, t = float(start_point[0]), float(start_point[1])
-    if eta <= 0:
-        raise ValueError(f"start eta must be positive, got {eta}")
+    _check_positive("start eta", eta)
+    start = (eta, t, Propagator(_boundary_rates(n, eta)).end_weights(t))
     best_times = {}
 
     def score(e: float) -> float:
         # warm start: the best time of the nearest eta already scored
-        start = best_times[min(best_times, key=lambda s: abs(s - e))].time if best_times else t
-        best_times[e] = refine_time(boundary_profile(n, e), start, tolerance, t_window)
+        warm = best_times[min(best_times, key=lambda s: abs(s - e))].time if best_times else t
+        best_times[e] = _time_search(Propagator(_boundary_rates(n, e)), warm, tolerance, t_window)
         return best_times[e].estimate
 
     path, converged = _climb(score, eta, eta_window, tolerance / 4.0, floor=tolerance)
-    start = (eta, t, estimate_fidelity(boundary_profile(n, eta), t))
     trace = (start,) + tuple((e, best_times[e].time, v) for e, v in path[1:])
     eta, t, value = trace[-1]
     improved = value > start[2]
@@ -337,11 +342,16 @@ def refine_time(
     the re-centring bound ran out or the estimate is below _ESTIMATE_FLOOR."""
     _check_positive("tolerance", tolerance)
     _check_positive("window", window)
-    prop = Propagator(build_generator(profile))
+    return _time_search(Propagator(profile.rates), start_time, tolerance, window)
+
+
+def _time_search(prop: Propagator, start_time: float, tolerance: float,
+                 window: float) -> RefineResult:
+    """``refine_time`` on a propagator of one chain, its arguments checked."""
     path, converged = _climb(prop.end_weights, float(start_time), window, tolerance / 4.0)
     t, value = path[-1]
     return RefineResult(
-        n_sites=profile.n_sites, eta=math.nan, time=float(t),
+        n_sites=len(prop.rates) + 1, eta=math.nan, time=float(t),
         estimate=float(value), improved=value > path[0][1],
         rounds=len(path) - 1, trace=tuple((math.nan, x, v) for x, v in path),
         converged=converged and value >= _ESTIMATE_FLOOR,

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .chain import CouplingProfile, build_generator
+from .chain import CouplingProfile
 from .errors import InternalConsistencyError, ZeroProbabilityError
 from .heisenberg import Propagator, gaussian_end_expectations
 from .oracle import (
@@ -225,8 +225,7 @@ def _medium_correlation(config: ProtocolConfig, kind: str, beta, chain: Propagat
     if n_med < 2:
         # a lone interior site has no bond: its Gibbs state is maximally mixed
         return np.eye(n_med) / 2.0
-    interior = CouplingProfile(n_med, config.profile.couplings[1:-1])
-    return Propagator(build_generator(interior)).thermal_correlation(beta)
+    return Propagator(config.profile.rates[1:-1]).thermal_correlation(beta)
 
 
 def _bloch(state) -> tuple[float, float, float]:
@@ -242,7 +241,7 @@ def _gaussian_outcomes(config: ProtocolConfig, kind: str, beta) -> dict:
     """{o_pre: {o_post: (probability, unnormalized site-N matrix)}} on a
     Gaussian medium, both pre-measurement outcomes from one evaluation."""
     n = config.profile.n_sites
-    chain = Propagator(build_generator(config.profile))
+    chain = Propagator(config.profile.rates)
     moments = gaussian_end_expectations(
         chain, config.effective_time, _bloch(config.input_state),
         _medium_correlation(config, kind, beta, chain), _I_POW[n % 4],

@@ -85,6 +85,20 @@ def string_coefficients(couplings, t, origin="site1"):
     return np.array(coeffs)
 
 
+def staggered_generator(rates):
+    """Dense M with d alpha/dt = M alpha for the string coefficients of
+    string_coefficients: real antisymmetric, the coupling rates g_i = 2 J_i
+    below the diagonal with staggered signs +g_1, -g_2, +g_3, ... (what
+    i[H, s_k] gives in the alternating X/Y string basis)."""
+    n = len(rates) + 1
+    m = np.zeros((n, n))
+    for i, g in enumerate(rates):
+        signed = g if i % 2 == 0 else -g
+        m[i + 1, i] = signed
+        m[i, i + 1] = -signed
+    return m
+
+
 def reduce_to_last_site(rho, n):
     """Partial trace onto site n by explicit block summation."""
     half = 2 ** (n - 1)

@@ -17,7 +17,6 @@ from xxqst import (
     DensityMatrix,
     ProtocolConfig,
     StateVector,
-    build_generator,
     cross_validate,
     boundary_profile,
     extract_string_coefficients,
@@ -85,7 +84,7 @@ def test_criterion_2_coefficient_endpoint():
     worst_end = 0.0
     worst_rest = 0.0
     for n in range(2, 33):
-        values = propagate(build_generator(perfect_profile(n)), math.pi / 4).values
+        values = propagate(perfect_profile(n), math.pi / 4).values
         worst_end = max(worst_end, abs(abs(values[-1]) - 1.0))
         if n > 2:
             worst_rest = max(worst_rest, float(np.max(np.abs(values[:-1]))))
@@ -115,7 +114,7 @@ def test_criterion_4_cross_engine_agreement():
         profile = CouplingProfile(n, tuple(rng.uniform(0.3, 1.5, n - 1)))
         t = float(rng.uniform(0.0, 3.0))
         exact = np.asarray(extract_string_coefficients(profile, t))
-        fast = propagate(build_generator(profile), t).values
+        fast = propagate(profile, t).values
         worst = max(worst, float(np.max(np.abs(exact - fast))))
     ok = worst <= 1e-8
     _report(4, ok, f"20 random (profile, t) pairs, worst gap {worst:.2e}")
@@ -185,8 +184,8 @@ def test_criterion_7_property_invariants():
     )
 
     profile = perfect_profile(6)
-    forward = propagate(build_generator(profile), 0.8).values
-    mirrored = mirror_propagate(build_generator(profile), 0.8).values
+    forward = propagate(profile, 0.8).values
+    mirrored = mirror_propagate(profile, 0.8).values
     passed["mirror-symmetry"] = (
         float(np.max(np.abs(np.asarray(forward) - np.asarray(mirrored)))) < 1e-12
     )

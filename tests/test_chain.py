@@ -6,9 +6,7 @@ import pytest
 
 from xxqst import (
     CouplingProfile,
-    Generator,
     boundary_profile,
-    build_generator,
     build_hamiltonian_action,
     dense_hamiltonian,
     perfect_profile,
@@ -57,14 +55,6 @@ def test_profile_validation():
         CouplingProfile(3, (math.nan, 1.0))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_generator_rejects_non_finite_rates(bad):
-    with pytest.raises(ValueError, match="finite"):
-        Generator(3, (bad, 1.0))
-    with pytest.raises(ValueError, match="finite"):
-        Generator(4, (1.0, 2.0, bad))
-
-
 def test_profile_reversal_and_json():
     profile = CouplingProfile(4, (1.0, 2.0, 3.0), label="ramp")
     assert not profile.is_centrosymmetric()
@@ -73,28 +63,41 @@ def test_profile_reversal_and_json():
     assert restored == profile
 
 
-def test_generator_subdiagonals():
-    assert build_generator(perfect_profile(2)).subdiagonal == (2.0,)
-    assert build_generator(perfect_profile(5)).subdiagonal == pytest.approx(
+def test_profile_rates_are_twice_the_couplings_read_only():
+    assert perfect_profile(2).rates.tolist() == [2.0]
+    assert perfect_profile(5).rates == pytest.approx(
         (4.0, 2 * math.sqrt(6), 2 * math.sqrt(6), 4.0)
     )
-    assert build_generator(boundary_profile(5, 0.815)).subdiagonal == pytest.approx(
-        (1.63, 2.0, 2.0, 1.63)
-    )
+    assert boundary_profile(5, 0.815).rates == pytest.approx((1.63, 2.0, 2.0, 1.63))
+    profile = CouplingProfile(5, (0.3, 1.1, 0.7, 2.0))
+    # bit for bit the doubles 2.0 * c, one per bond
+    assert profile.rates.dtype == float
+    assert profile.rates.tolist() == [2.0 * c for c in profile.couplings]
+    with pytest.raises(ValueError):
+        profile.rates[0] = 1.0
+    assert profile.rates.tolist() == [2.0 * c for c in profile.couplings]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_generator_rejects_non_finite_rates(bad):
+    from xxqst import Propagator
+
+    with pytest.raises(ValueError, match="finite"):
+        Propagator([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        Propagator([1.0, 2.0, bad])
 
 
 def test_generator_matrix_antisymmetric():
-    gen = build_generator(CouplingProfile(5, (0.3, 1.1, 0.7, 2.0)))
-    m = gen.matrix()
-    assert np.allclose(m, -m.T)
+    m = reference.staggered_generator(CouplingProfile(5, (0.3, 1.1, 0.7, 2.0)).rates)
+    assert np.array_equal(m, -m.T)
     # off-tridiagonal entries vanish
-    assert np.count_nonzero(m) == 2 * (gen.dimension - 1)
+    assert np.count_nonzero(m) == 2 * (5 - 1)
 
 
 def test_generator_eigenvalues_imaginary_pairs(rng):
     couplings = tuple(rng.random(6) + 0.2)
-    gen = build_generator(CouplingProfile(7, couplings))
-    eigs = np.linalg.eigvals(gen.matrix())
+    eigs = np.linalg.eigvals(reference.staggered_generator(CouplingProfile(7, couplings).rates))
     assert np.max(np.abs(eigs.real)) < 1e-10
     imag = np.sort(eigs.imag)
     assert np.allclose(imag, -imag[::-1], atol=1e-10)
@@ -105,7 +108,7 @@ def test_perfect_spectrum_is_equally_spaced_ladder(n):
     # eigenvalues of i * generator: 2(n+1-2k) for k = 1..n, gap 4
     from xxqst import Propagator
 
-    prop = Propagator(build_generator(perfect_profile(n)))
+    prop = Propagator(perfect_profile(n).rates)
     expected = np.array(sorted(2.0 * (n + 1 - 2 * k) for k in range(1, n + 1)))
     assert np.max(np.abs(np.sort(prop.eigenvalues) - expected)) < 1e-10
 

@@ -6,12 +6,10 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from xxqst import (
     CouplingProfile,
-    Generator,
     InternalConsistencyError,
     Propagator,
     StateVector,
     boundary_profile,
-    build_generator,
     coefficient_trace,
     estimate_fidelity,
     evolve,
@@ -27,13 +25,13 @@ import reference
 
 def test_time_zero_is_unit_vector():
     for n in (2, 3, 6):
-        vec = propagate(build_generator(perfect_profile(n)), 0.0)
+        vec = propagate(perfect_profile(n), 0.0)
         assert vec.values[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(vec.values[1:])) < 1e-14
 
 
 def test_two_site_closed_form():
-    gen = build_generator(perfect_profile(2))
+    gen = perfect_profile(2)
     for t in (0.1, 0.9, -1.4):
         vec = propagate(gen, t)
         assert vec.values == pytest.approx((math.cos(2 * t), math.sin(2 * t)), abs=1e-12)
@@ -42,7 +40,7 @@ def test_two_site_closed_form():
 def test_two_site_sign_matches_reference():
     # the sign convention is pinned by conjugating X_1 in the dense engine
     ref = reference.string_coefficients((1.0,), 0.6)
-    vec = propagate(build_generator(perfect_profile(2)), 0.6)
+    vec = propagate(perfect_profile(2), 0.6)
     assert np.allclose(vec.values, ref, atol=1e-10)
 
 
@@ -51,16 +49,15 @@ def test_norm_conserved(rng):
         n = int(rng.integers(2, 9))
         profile = CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))
         t = float(rng.uniform(-3, 3))
-        vec = propagate(build_generator(profile), t)
+        vec = propagate(profile, t)
         assert vec.norm == pytest.approx(1.0, abs=1e-10)
 
 
 def test_group_property(rng):
     profile = CouplingProfile(6, tuple(rng.random(5) + 0.3))
-    gen = build_generator(profile)
     s, t = 0.71, 1.13
-    direct = propagate(gen, s + t).values
-    stepped = expm(gen.matrix() * s) @ propagate(gen, t).values
+    direct = propagate(profile, s + t).values
+    stepped = expm(reference.staggered_generator(profile.rates) * s) @ propagate(profile, t).values
     assert np.max(np.abs(direct - stepped)) < 1e-10
 
 
@@ -68,15 +65,14 @@ def test_matches_dense_exponential(rng):
     # exp(M t) e_1 against scipy on the staggered matrix itself
     for n in (3, 5, 8, 16):
         profile = CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))
-        gen = build_generator(profile)
         t = float(rng.uniform(0, 2))
         assert np.max(
-            np.abs(propagate(gen, t).values - expm(gen.matrix() * t)[:, 0])
+            np.abs(propagate(profile, t).values - expm(reference.staggered_generator(profile.rates) * t)[:, 0])
         ) < 1e-12
 
 
 def test_mirror_equals_forward_for_centrosymmetric():
-    gen = build_generator(perfect_profile(7))
+    gen = perfect_profile(7)
     for t in (0.2, 1.5):
         assert np.max(
             np.abs(mirror_propagate(gen, t).values - propagate(gen, t).values)
@@ -84,7 +80,7 @@ def test_mirror_equals_forward_for_centrosymmetric():
 
 
 def test_mirror_differs_for_asymmetric_profile():
-    gen = build_generator(CouplingProfile(4, (1.0, 2.0, 3.0)))
+    gen = CouplingProfile(4, (1.0, 2.0, 3.0))
     fwd = propagate(gen, 0.7).values
     back = mirror_propagate(gen, 0.7).values
     assert np.max(np.abs(fwd - back)) > 1e-3
@@ -97,22 +93,22 @@ def test_mirror_equals_forward_propagation_on_the_reversed_profile(rng):
     for n in list(range(2, 65)) + [1000]:
         profile = CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))
         t = float(rng.uniform(0.0, 4.0))
-        gen, back = build_generator(profile), build_generator(profile.reversed())
-        assert np.max(np.abs(mirror_propagate(gen, t).values - propagate(back, t).values)) < 1e-13
+        back = profile.reversed()
+        assert np.max(np.abs(mirror_propagate(profile, t).values - propagate(back, t).values)) < 1e-13
         mirrored = coefficient_trace(profile, t, 3, origin="siteN").values
         assert np.max(np.abs(mirrored - coefficient_trace(profile.reversed(), t, 3).values)) < 1e-13
 
 
 def test_mirror_matches_reference_strings(rng):
     couplings = (0.5, 1.7, 0.9)
-    vec = mirror_propagate(build_generator(CouplingProfile(4, couplings)), 0.83)
+    vec = mirror_propagate(CouplingProfile(4, couplings), 0.83)
     ref = reference.string_coefficients(couplings, 0.83, origin="siteN")
     assert np.allclose(vec.values, ref, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", range(2, 33))
 def test_perfect_revival_endpoint(n):
-    vec = propagate(build_generator(perfect_profile(n)), math.pi / 4)
+    vec = propagate(perfect_profile(n), math.pi / 4)
     assert abs(vec.values[-1]) == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(vec.values[:-1])) < 1e-9
 
@@ -120,7 +116,7 @@ def test_perfect_revival_endpoint(n):
 def test_revival_sign_pattern():
     # + for chain lengths 1 or 2 mod 4, - for 3 or 0 mod 4
     signs = {
-        n: np.sign(propagate(build_generator(perfect_profile(n)), math.pi / 4).values[-1])
+        n: np.sign(propagate(perfect_profile(n), math.pi / 4).values[-1])
         for n in range(2, 12)
     }
     for n, sign in signs.items():
@@ -162,10 +158,10 @@ def test_estimate_fidelity_values():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_time_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
-        Propagator(build_generator(perfect_profile(4))).coefficients(bad)
+        Propagator(perfect_profile(4).rates).coefficients(bad)
     with pytest.raises(ValueError, match="finite"):
         estimate_fidelity(perfect_profile(4), bad)
-    prop = Propagator(build_generator(perfect_profile(4)))
+    prop = Propagator(perfect_profile(4).rates)
     for times in (bad, np.array([0.3, bad])):
         with pytest.raises(ValueError, match="finite"):
             prop.end_weights(times)
@@ -181,7 +177,7 @@ def test_end_weights_match_last_coefficient(rng):
     # odd N puts a zero mode in the spectrum
     times = np.concatenate(([0.0], rng.uniform(-4.0, 4.0, 16)))
     for n in range(2, 65):
-        prop = Propagator(build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))))
+        prop = Propagator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2)).rates)
         expected = prop.coefficients_many(times)[:, -1] ** 2
         weights = prop.end_weights(times)
         assert weights.shape == times.shape
@@ -196,12 +192,11 @@ def test_tridiagonal_solve_matches_eigh_tridiagonal(rng):
     # eigh_tridiagonal runs the same LAPACK driver, stevd, for all eigenpairs
     for profile in (perfect_profile(5), boundary_profile(12, 0.7),
                     CouplingProfile(9, tuple(rng.random(8) + 0.2))):
-        gen = build_generator(profile)
-        w, v = eigh_tridiagonal(np.zeros(gen.dimension), np.asarray(gen.subdiagonal))
-        prop = Propagator(gen)
+        w, v = eigh_tridiagonal(np.zeros(profile.n_sites), profile.rates)
+        prop = Propagator(profile.rates)
         assert np.array_equal(prop.eigenvalues, w)
         u = (v * np.exp(-1j * 0.7 * w)) @ v.T
-        assert np.array_equal(prop.entries(0.7, list(range(gen.dimension))), u)
+        assert np.array_equal(prop.entries(0.7, list(range(profile.n_sites))), u)
 
 
 def _wrap(index, n):
@@ -219,7 +214,7 @@ def test_entries_take_ints_lists_and_time_arrays(rng):
     # even and odd N: the time-array branch folds the +-w pairs, and odd N
     # leaves the middle eigenvalue unpaired
     for n in (2, 3, 4, 7):
-        prop = Propagator(build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2))))
+        prop = Propagator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2)).rates)
         times = np.array([0.0, 0.4, -1.3])
         full = np.stack([prop.entries(t, list(range(n))) for t in times])
         assert np.max(np.abs(full[0] - np.eye(n))) < 1e-15
@@ -237,11 +232,10 @@ def test_entries_take_ints_lists_and_time_arrays(rng):
 
 
 def test_residue_check_fires_on_a_broken_phase_convention(monkeypatch):
-    gen = build_generator(perfect_profile(6))
+    rates = perfect_profile(6).rates
     times = np.linspace(0.1, 1.0, 5)
     # one chain, and a stack of two
-    rates = np.array([gen.subdiagonal, build_generator(boundary_profile(6, 0.7)).subdiagonal])
-    for prop in (Propagator(gen), Propagator(rates)):
+    for prop in (Propagator(rates), Propagator([rates, boundary_profile(6, 0.7).rates])):
         # zeta = 1 everywhere drops the factor i of the even-numbered strings,
         # the sixth, alpha_N, among them
         monkeypatch.setattr(prop, "_zeta", np.ones(6, dtype=complex))
@@ -259,7 +253,7 @@ def test_residue_bound_follows_the_roundoff_model(monkeypatch):
     assert abs(trace.values[-1, -1]) == pytest.approx(1.0, abs=1e-9)
     # an imaginary part just inside or just past 64 eps (1 + max|w| |t|), or NaN;
     # odd N, so zeta_N = 1 and u_1N's imaginary part is alpha_N's
-    prop = Propagator(build_generator(perfect_profile(5)))
+    prop = Propagator(perfect_profile(5).rates)
     entries, t = prop.entries, 0.7
     bound = 64 * np.finfo(float).eps * (1 + np.abs(prop.eigenvalues).max() * t)
     for factor, fires in ((0.9, False), (1.1, True), (math.nan, True)):
@@ -275,8 +269,7 @@ def test_residue_bound_follows_the_roundoff_model(monkeypatch):
 def test_residue_bound_is_per_batch_row(monkeypatch):
     # a slow chain and a fast one: an imaginary part just inside the fast
     # chain's bound passes on its own row and fires on the slow row
-    slow, fast = (build_generator(CouplingProfile(5, (c,) * 4)) for c in (0.1, 2.0))
-    prop = Propagator(np.array([slow.subdiagonal, fast.subdiagonal]))
+    prop = Propagator([CouplingProfile(5, (c,) * 4).rates for c in (0.1, 2.0)])
     entries, t = prop.entries, 0.7
     bounds = 64 * np.finfo(float).eps * (1 + np.abs(prop.eigenvalues).max(axis=1) * t)
     assert bounds[1] > 1.5 * bounds[0]
@@ -292,7 +285,7 @@ def test_residue_bound_is_per_batch_row(monkeypatch):
 def test_stacked_propagator_is_a_batch_of_single_ones(rng):
     for n in (2, 3, 4, 7):
         rates = rng.random((3, n - 1)) + 0.2
-        stacked, singles = Propagator(rates), [Propagator(Generator(n, tuple(row))) for row in rates]
+        stacked, singles = Propagator(rates), [Propagator(row) for row in rates]
         assert np.array_equal(stacked.eigenvalues, np.stack([p.eigenvalues for p in singles]))
         for times in (0.4, np.array([0.0, 0.4, -1.3])):
             for rows, cols in _ENTRY_CASES:
@@ -312,7 +305,7 @@ def test_stacked_propagator_is_a_batch_of_single_ones(rng):
 
 
 def test_stacked_propagator_needs_generators_of_one_length():
-    rows = [build_generator(perfect_profile(n)).subdiagonal for n in (5, 6)]
+    rows = [perfect_profile(n).rates for n in (5, 6)]
     with pytest.raises(ValueError, match="2-D"):
         Propagator(rows)
     with pytest.raises(ValueError, match="at least one row"):
@@ -321,28 +314,33 @@ def test_stacked_propagator_needs_generators_of_one_length():
 
 @pytest.mark.parametrize("rates", [
     [[1.0, 2.0], [1.0]],                  # ragged rows
-    [],                                   # no rows
-    np.empty((0, 3)),                     # no rows, two dimensions
+    [],                                   # no rates
+    np.empty((0, 3)),                     # no rows
     np.empty((2, 0)),                     # no columns
-    np.ones(3),                           # 1-D
     np.ones((2, 3, 3)),                   # 3-D
     [[1.0, math.nan]],
     [[1.0, 1.0], [math.inf, 1.0]],
     [[-math.inf, 1.0]],
-    [build_generator(perfect_profile(3))],
+    [perfect_profile(3)],                 # a profile, not its rates
+    [math.nan, 1.0],                      # one chain
+    [1.0, math.inf],
+    [-math.inf],
+    np.empty(0),
+    np.array(2.0),                        # 0-D
+    np.ones((1, 1, 3)),                   # one chain, wrapped twice
 ])
 def test_stacked_propagator_validates_its_rates(rates):
-    with pytest.raises(ValueError, match="stacked coupling rates"):
+    with pytest.raises(ValueError, match="coupling rates"):
         Propagator(rates)
 
 
 def test_stacked_rates_are_copied_read_only():
-    rates = np.ones((2, 3))
-    prop = Propagator(rates)
-    rates[0, 0] = 5.0
-    assert prop.generator[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        prop.generator[0, 0] = 5.0
+    for rates in (np.ones((2, 3)), np.ones(3)):
+        prop = Propagator(rates)
+        rates[..., 0] = 5.0
+        assert np.all(prop.rates == 1.0)
+        with pytest.raises(ValueError):
+            prop.rates[..., 0] = 5.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
@@ -351,7 +349,7 @@ def test_unpaired_spectrum_raises_on_the_folded_branch(rng, monkeypatch, n):
     # max|w|, past the 64 eps max|w| bound, must raise there, while the
     # scalar branch, which takes every eigenvalue as it is, still runs
     times = np.array([0.3, 1.1])
-    for prop in (Propagator(build_generator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2)))),
+    for prop in (Propagator(CouplingProfile(n, tuple(rng.random(n - 1) + 0.2)).rates),
                  Propagator(rng.random((2, n - 1)) + 0.2)):
         w = prop.eigenvalues
         w[..., 0] += 100 * np.finfo(float).eps * np.abs(w).max(axis=-1)
@@ -389,7 +387,7 @@ def test_perfect_chain_matches_its_closed_form():
     times = np.array([0.1, 0.3, 0.7, 1.1, 2.0, 5.0])
     eps = np.finfo(float).eps
     for n in list(range(2, 65)) + [999, 1000]:
-        prop = Propagator(build_generator(perfect_profile(n)))
+        prop = Propagator(perfect_profile(n).rates)
         w_max = np.abs(prop.eigenvalues).max()
         many, weights = prop.coefficients_many(times), prop.end_weights(times)
         for t, row, weight in zip(times, many, weights):
@@ -401,7 +399,7 @@ def test_perfect_chain_matches_its_closed_form():
 
 
 def test_propagator_reusable_and_deterministic():
-    prop = Propagator(build_generator(perfect_profile(6)))
+    prop = Propagator(perfect_profile(6).rates)
     times = np.linspace(0, 2, 7)
     a = prop.coefficients_many(times)
     b = prop.coefficients_many(times)
@@ -410,7 +408,7 @@ def test_propagator_reusable_and_deterministic():
 
 
 def test_coefficient_vector_is_immutable():
-    vec = propagate(build_generator(perfect_profile(3)), 0.4)
+    vec = propagate(perfect_profile(3), 0.4)
     with pytest.raises(ValueError):
         vec.values[0] = 5.0
 
@@ -488,9 +486,15 @@ def test_pair_product_matches_the_reference_pfaffians(rng):
 
 
 def test_gaussian_end_expectations_checks_the_medium_shape():
-    prop = Propagator(build_generator(perfect_profile(5)))
+    prop = Propagator(perfect_profile(5).rates)
     with pytest.raises(ValueError, match="3 x 3"):
         gaussian_end_expectations(prop, 0.3, (0, 0, 1), np.zeros((5, 5)), 1j)
+
+
+def test_gaussian_end_expectations_needs_one_chain():
+    stacked = Propagator(np.ones((2, 4)))
+    with pytest.raises(ValueError, match="one chain"):
+        gaussian_end_expectations(stacked, 0.3, (0, 0, 1), np.zeros((3, 3)), 1j)
 
 
 def _random_end_states(rng):
@@ -544,7 +548,7 @@ def test_gaussian_end_expectations_match_slater_states_on_long_chains(n, eta, t)
     # averages the two.
     rng = np.random.default_rng(6100 + n)
     profile = boundary_profile(n, eta)
-    prop = Propagator(build_generator(profile))
+    prop = Propagator(profile.rates)
     bloch, c = _random_end_states(rng)
     phi = rng.normal(size=n - 2)
     phi /= np.linalg.norm(phi)

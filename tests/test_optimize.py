@@ -6,7 +6,6 @@ import pytest
 
 from xxqst import (
     boundary_profile,
-    build_generator,
     cross_validate,
     estimate_fidelity,
     optimize_boundary,
@@ -91,7 +90,7 @@ def test_sweep_surface_matches_per_row_propagators(n):
         # the rows come in several chunks
         assert optimize._SWEEP_BUDGET // (n * (n + 2 * 96)) < 96
     for eta, row in zip(result.eta_values, result.surface):
-        prop = Propagator(build_generator(boundary_profile(n, float(eta))))
+        prop = Propagator(boundary_profile(n, float(eta)).rates)
         assert np.max(np.abs(row - prop.end_weights(result.t_values))) <= 1e-14
     if n in _GRID_BEST:
         assert (result.best_eta, result.best_time) == _GRID_BEST[n]
@@ -218,6 +217,12 @@ def test_refine_validation():
         refine(5, (0.8, 1.9), tolerance=0.0)
     with pytest.raises(ValueError):
         refine(5, (-0.2, 1.9))
+    # refine builds no profile, so it checks the chain length and start eta itself
+    with pytest.raises(ValueError, match="n >= 4"):
+        refine(3, (0.8, 1.9))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta"):
+            refine(5, (bad, 1.9))
 
 
 def test_refine_rejects_non_finite_start_time():

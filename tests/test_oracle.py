@@ -11,7 +11,6 @@ from xxqst import (
     ResourceLimitError,
     StateVector,
     ZeroProbabilityError,
-    build_generator,
     conjugate_operator,
     evolve,
     extract_string_coefficients,
@@ -437,7 +436,7 @@ def test_extract_coefficients_examples():
 def test_extract_coefficients_cross_engine():
     profile = perfect_profile(4)
     ours = extract_string_coefficients(profile, 0.37)
-    fast = propagate(build_generator(profile), 0.37).values
+    fast = propagate(profile, 0.37).values
     assert np.max(np.abs(ours - fast)) < 1e-8
 
 

@@ -19,7 +19,6 @@ from xxqst import (
     axial_state,
     bloch_state,
     boundary_profile,
-    build_generator,
     evolve,
     fidelity,
     perfect_profile,
@@ -280,7 +279,7 @@ def test_axial_average_on_long_boundary_chains_is_medium_independent(n, eta, t):
     from xxqst.protocol import PROB_FLOOR, _finish_branch, _gaussian_outcomes, _parse_medium
 
     profile = boundary_profile(n, eta)
-    prop = Propagator(build_generator(profile))
+    prop = Propagator(profile.rates)
     u_11, u_nn = prop.entries(t, 0, 0), prop.entries(t, -1, -1)
     expected = 0.5 + prop.end_weights(t) / 2 + (-1) ** n * (u_11 * u_nn).real / 6
     mediums = [("thermal:0.05", "subchain"), ("all-zero", "subchain"),

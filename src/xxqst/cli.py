@@ -24,6 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
+from ._csvtext import BLOCK_VALUES, csv_block
 from .chain import CouplingProfile, boundary_profile, perfect_profile
 from .errors import InternalConsistencyError, ResourceLimitError
 from .heisenberg import coefficient_trace
@@ -88,10 +89,6 @@ def _parse_input_state(text: str):
     )
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _metadata_lines(args, config: dict) -> list[str]:
     lines = [
         f"# artifact-version: {__version__}",
@@ -115,10 +112,13 @@ def _emit(args, text: str, rows: Iterable[str] = ()) -> None:
 
 def _csv_rows(first: np.ndarray, table: np.ndarray) -> Iterator[str]:
     """CSV lines first[i], table[i, 0], table[i, 1], ..., each value as
-    ``_fmt`` writes it, built one row at a time with a single format."""
-    line = ",".join(["%.17g"] * (table.shape[1] + 1)) + "\n"
-    for x, row in zip(first, table):
-        yield line % (x, *row.tolist())
+    Python's ``'%.17g'`` writes it, yielded as text blocks of whole rows
+    (about ``BLOCK_VALUES`` values each) that join to the full text."""
+    first = np.asarray(first, dtype=np.float64)
+    table = np.asarray(table, dtype=np.float64)
+    step = max(1, BLOCK_VALUES // (table.shape[1] + 1))
+    for lo in range(0, len(first), step):
+        yield csv_block(np.column_stack([first[lo:lo + step], table[lo:lo + step]]))
 
 
 def _json_document(args, config: dict, payload: dict) -> str:

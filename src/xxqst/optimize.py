@@ -308,13 +308,17 @@ def refine(
         _check_positive(name, value)
     eta, t = float(start_point[0]), float(start_point[1])
     _check_positive("start eta", eta)
-    start = (eta, t, Propagator(_boundary_rates(n, eta)).end_weights(t))
+    # one propagator per eta: the start's serves its estimate and first score
+    propagators = {eta: Propagator(_boundary_rates(n, eta))}
+    start = (eta, t, propagators[eta].end_weights(t))
     best_times = {}
 
     def score(e: float) -> float:
+        if e not in propagators:
+            propagators[e] = Propagator(_boundary_rates(n, e))
         # warm start: the best time of the nearest eta already scored
         warm = best_times[min(best_times, key=lambda s: abs(s - e))].time if best_times else t
-        best_times[e] = _time_search(Propagator(_boundary_rates(n, e)), warm, tolerance, t_window)
+        best_times[e] = _time_search(propagators[e], warm, tolerance, t_window)
         return best_times[e].estimate
 
     path, converged = _climb(score, eta, eta_window, tolerance / 4.0, floor=tolerance)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from xxqst import InternalConsistencyError, __version__
-from xxqst.cli import _csv_rows, _fmt, build_parser, main, parse_time
+from xxqst._csvtext import fmt as _fmt
+from xxqst.cli import _csv_rows, build_parser, main, parse_time
 from xxqst.optimize import DEFAULT_ETA_RANGE, DEFAULT_T_RANGE, sweep
 
 
@@ -110,11 +111,11 @@ def test_csv_row_format_matches_per_value_format():
     edge = [0.0, -0.0, 5e-324, 1e-5, 0.1, 1e16, 1e17, 1.0, -1.0]
     first = np.array(edge)
     table = np.array([np.roll(edge, k) for k in range(len(edge))])
-    rows = list(_csv_rows(first, table))
-    assert rows == [
+    text = "".join(_csv_rows(first, table))
+    assert text == "".join(
         ",".join(_fmt(v) for v in [x, *row]) + "\n" for x, row in zip(first, table)
-    ]
-    assert rows[0].startswith("0,0,-0,4.9406564584124654e-324,1.0000000000000001e-05,")
+    )
+    assert text.startswith("0,0,-0,4.9406564584124654e-324,1.0000000000000001e-05,")
 
 
 def test_coefficients_config_records_profile(capsys):

@@ -347,6 +347,28 @@ def test_refine_probe_count(end_weight_calls, n):
     assert len(end_weight_calls) <= 150
 
 
+@pytest.mark.parametrize("n", [5, 12])
+def test_refine_builds_one_propagator_per_eta(monkeypatch, n):
+    # the start eta's propagator serves both its estimate and its first score
+    grid = sweep(n)
+    built, scored = [], []
+    build, search = Propagator.__init__, optimize._time_search
+
+    def counted_build(self, rates):
+        built.append(float(np.asarray(rates)[0]))
+        build(self, rates)
+
+    def counted_search(prop, *args):
+        scored.append(float(prop.rates[0]))
+        return search(prop, *args)
+
+    monkeypatch.setattr(Propagator, "__init__", counted_build)
+    monkeypatch.setattr(optimize, "_time_search", counted_search)
+    refine(n, (grid.best_eta, grid.best_time))
+    assert scored[0] == 2.0 * grid.best_eta
+    assert sorted(built) == sorted(set(scored))
+
+
 # (eta, t, estimate) of optimize_boundary(n) when every inner search
 # started from the grid time
 _COLD_START = {

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import expm_multiply
 
 from xxqst import (
     CouplingProfile,
@@ -18,7 +22,7 @@ from xxqst import (
     propagate,
     reduced_state,
 )
-from xxqst.heisenberg import _pair_product, gaussian_end_expectations
+from xxqst.heisenberg import _MIRROR_SITES, _pair_product, gaussian_end_expectations
 
 import reference
 
@@ -189,14 +193,24 @@ def test_end_weights_match_last_coefficient(rng):
 
 
 def test_tridiagonal_solve_matches_eigh_tridiagonal(rng):
-    # eigh_tridiagonal runs the same LAPACK driver, stevd, for all eigenpairs
+    # eigh_tridiagonal runs the same LAPACK driver, stevd, for all eigenpairs;
+    # a palindrome one site short of the mirror path takes one solve as well
+    n = _MIRROR_SITES - 1
     for profile in (perfect_profile(5), boundary_profile(12, 0.7),
-                    CouplingProfile(9, tuple(rng.random(8) + 0.2))):
+                    CouplingProfile(9, tuple(rng.random(8) + 0.2)),
+                    perfect_profile(n), boundary_profile(n, 0.7)):
         w, v = eigh_tridiagonal(np.zeros(profile.n_sites), profile.rates)
         prop = Propagator(profile.rates)
         assert np.array_equal(prop.eigenvalues, w)
         u = (v * np.exp(-1j * 0.7 * w)) @ v.T
         assert np.array_equal(prop.entries(0.7, list(range(profile.n_sites))), u)
+    # a long chain one ulp off a palindrome: the same eigensystem bit for bit
+    # (at this size the complex GEMM above sums in another order than entries)
+    rates = perfect_profile(1000).rates.copy()
+    rates[0] = np.nextafter(rates[0], math.inf)
+    w, v = eigh_tridiagonal(np.zeros(1000), rates)
+    prop = Propagator(rates)
+    assert np.array_equal(prop._w, w) and np.array_equal(prop._v, v)
 
 
 def _wrap(index, n):
@@ -396,6 +410,154 @@ def test_perfect_chain_matches_its_closed_form():
             assert np.max(np.abs(row - expected)) <= bound
             assert np.max(np.abs(prop.coefficients(t) - expected)) <= bound
             assert abs(weight - expected[-1] ** 2) <= 2 * bound
+
+
+# ---------------------------------------------------------------------------
+# Mirror-symmetric chains, solved in their two reflection sectors
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_MIRROR_SIZES = (_MIRROR_SITES, _MIRROR_SITES + 1, 64, 999, 1000, 1001)
+
+
+def _palindromes(n):
+    """Rates that read the same both ways on n sites, by name."""
+    chains = {"perfect": perfect_profile(n).rates}
+    for eta in (1e-4, 0.05, 0.7, 1.5):
+        chains[f"boundary:{eta}"] = boundary_profile(n, eta).rates
+    # the middle bond (both middle bonds for odd n) cut: two decoupled
+    # uniform halves, so a doubly degenerate spectrum
+    middle = CouplingProfile(n, (1.0,) * (n - 1)).rates.copy()
+    middle[[n // 2 - 1, (n - 1) // 2]] = 0.0
+    chains["zero middle"] = middle
+    # rate i mirrors rate -(i + 1)
+    elsewhere = boundary_profile(n, 0.7).rates.copy()
+    elsewhere[[2, -3, n // 4, -(n // 4) - 1]] = 0.0
+    chains["zero elsewhere"] = elsewhere
+    return chains
+
+
+def _tridiagonal_product(rates, v):
+    """A V for A the zero-diagonal tridiagonal matrix of the rates."""
+    product = np.zeros_like(v)
+    product[:-1] += rates[:, None] * v[1:]
+    product[1:] += rates[:, None] * v[:-1]
+    return product
+
+
+@pytest.mark.parametrize("n", _MIRROR_SIZES)
+def test_mirror_eigensystem_against_independent_references(n):
+    # A V = V W, V^T V = I, the +-w pairing and the ascending eigenvalues
+    # of one solve, then the coefficients
+    # against the exponential of the staggered M itself (dense expm; the
+    # sparse action of the same exponential past 64 sites, where one dense
+    # expm costs 0.35-3.5 s), within the roundoff model 64 eps (1 + max|w| |t|)
+    times = np.array([0.3, math.pi / 4, 3.0])
+    start = np.zeros(n)
+    start[0] = 1.0
+    for name, rates in _palindromes(n).items():
+        prop = Propagator(rates)
+        w, v = prop._w, prop._v
+        # the sector order, not the ascending order of one solve
+        assert not np.all(np.diff(w) >= 0), name
+        w_max = np.abs(w).max()
+        # measured at most 3.8 eps max|w| and 15 eps over these chains
+        assert np.abs(_tridiagonal_product(rates, v) - v * w).max() <= 64 * _EPS * w_max, name
+        assert np.abs(v.T @ v - np.eye(n)).max() <= 64 * _EPS, name
+        assert np.array_equal(w, -w[::-1]), name
+        # eigenvalues sorts the sector order, so its contract holds
+        ascending = eigh_tridiagonal(np.zeros(n), rates, eigvals_only=True)
+        assert np.all(np.diff(prop.eigenvalues) >= 0), name
+        assert np.abs(prop.eigenvalues - ascending).max() <= 64 * _EPS * w_max, name
+        generator = reference.staggered_generator(rates)
+        if n <= 64:
+            expected = np.stack([expm(generator * t)[:, 0] for t in times])
+        else:
+            sparse = csr_array(generator)
+            expected = np.stack([expm_multiply(sparse * t, start) for t in times])
+        bound = 64 * _EPS * (1 + w_max * times[:, None])
+        assert np.all(np.abs(prop.coefficients_many(times) - expected) <= bound), name
+
+
+@pytest.mark.parametrize("n", [_MIRROR_SITES, _MIRROR_SITES + 1, 40])
+def test_stack_of_palindromic_and_other_rows_is_a_batch_of_single_ones(rng, n):
+    # each row takes its own path: the sector solves or one solve
+    half = rng.random(n // 2) + 0.2
+    rates = np.stack([perfect_profile(n).rates, rng.random(n - 1) + 0.2,
+                      boundary_profile(n, 0.7).rates,
+                      np.concatenate((half, half[: (n - 1) // 2][::-1]))])
+    assert np.array_equal(rates[3], rates[3][::-1])
+    stacked, singles = Propagator(rates), [Propagator(row) for row in rates]
+    assert np.array_equal(stacked.eigenvalues, np.stack([p.eigenvalues for p in singles]))
+    assert np.array_equal(stacked._v, np.stack([p._v for p in singles]))
+    times = np.array([0.0, 0.4, -1.3])
+    for t in (0.4, times):
+        for name in ("coefficients_many", "end_weights"):
+            batch = getattr(stacked, name)(t)
+            each = np.stack([getattr(p, name)(t) for p in singles])
+            assert batch.shape == each.shape
+            assert np.max(np.abs(batch - each)) < 1e-15
+        batch = stacked.entries(t, [0, n - 1])
+        each = np.stack([p.entries(t, [0, n - 1]) for p in singles])
+        assert np.max(np.abs(batch - each)) < 1e-15
+
+
+_RATE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(_MIRROR_SITES, 80).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_RATE, min_size=n // 2, max_size=n // 2))))
+def test_mirror_path_entries_match_one_tridiagonal_solve(case):
+    # u(t) from the sector solves against u(t) from one stevd solve of the
+    # whole chain, for palindromes of any scale and sign, with zero rates
+    # among them
+    n, half = case
+    rates = np.array(half + half[: (n - 1) // 2][::-1])
+    w, v = eigh_tridiagonal(np.zeros(n), rates)
+    prop = Propagator(rates)
+    times = np.array([0.0, 0.013, 0.41, 2.7])
+    bound = 64 * _EPS * (1 + np.abs(w).max() * times)
+    expected = np.stack([(v * np.exp(-1j * t * w)) @ v.T for t in times])
+    got = prop.entries(times, list(range(n)))
+    assert np.all(np.abs(got - expected) <= bound[:, None, None])
+    for t, b, u in zip(times, bound, expected):
+        assert abs(prop.entries(t, 0, -1) - u[0, -1]) <= b
+
+
+def test_residue_bound_takes_the_largest_eigenvalue_in_any_order(monkeypatch):
+    # a negative middle rate on an even palindrome gives T+ a negative last
+    # diagonal entry, so -min(T+) > max(T+), and the sector order
+    # [-w of T+ reversed | w of T+] puts max|w| at neither end
+    n = _MIRROR_SITES + _MIRROR_SITES % 2
+    rates = boundary_profile(n, 0.7).rates.copy()
+    rates[n // 2 - 1] = -3.0
+    t = 10.0
+    # one chain, and a stack of two; zeta_1 = 1, so the first coefficient
+    # keeps an imaginary part of u_11 as its own
+    for prop in (Propagator(rates), Propagator([rates, rates])):
+        w_max = np.abs(prop.eigenvalues).max(axis=-1)
+        assert np.all(np.abs(prop._w[..., [0, -1]]).max(axis=-1) < 0.9 * w_max)
+        # an imaginary part inside the bound, which the largest |w| at an end
+        # would put outside it
+        shift = 0.95 * 64 * _EPS * (1 + w_max[..., None] * t)
+        entries = prop.entries
+        monkeypatch.setattr(prop, "entries", lambda *args: entries(*args) + 1j * shift)
+        prop.coefficients_many(t)
+
+
+def test_zero_rate_palindrome_leaves_roundoff_beyond_the_cut():
+    # couplings 1, 2, 0, 2, 1, ... cut site 1 off from sites 4..26.  One
+    # solve splits there and gives exact zeros; the sector solves pair each
+    # cut-off block with its mirror image, whose contributions cancel only to
+    # roundoff (at most 5e-17 on this trace), inside the roundoff model
+    couplings = (1.0, 2.0, 0.0, 2.0, 1.0) + (1.0,) * 15 + (1.0, 2.0, 0.0, 2.0, 1.0)
+    profile = CouplingProfile(26, couplings)
+    trace = coefficient_trace(profile, math.pi / 4, 5)
+    w_max = np.abs(Propagator(profile.rates).eigenvalues).max()
+    bound = 64 * _EPS * (1 + w_max * trace.times)
+    assert np.all(np.abs(trace.values[:, 3:]) <= bound[:, None])
+    assert np.max(np.abs(trace.values[-1, :3])) > 0.1
 
 
 def test_propagator_reusable_and_deterministic():

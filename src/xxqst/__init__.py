@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 from .chain import (
     CouplingProfile,
     boundary_profile,
-    build_hamiltonian_action,
     dense_hamiltonian,
     perfect_profile,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "CouplingProfile",
     "perfect_profile",
     "boundary_profile",
-    "build_hamiltonian_action",
     "dense_hamiltonian",
     "CoefficientVector",
     "CoefficientTrace",

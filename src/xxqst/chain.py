@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "CouplingProfile",
     "perfect_profile",
     "boundary_profile",
-    "build_hamiltonian_action",
     "dense_hamiltonian",
     "sector_blocks",
 ]
@@ -106,28 +105,6 @@ def _bond_indices(n: int, bond: int) -> tuple[np.ndarray, np.ndarray]:
     src = idx[differs]
     dst = src ^ ((1 << hi) | (1 << lo))
     return src, dst
-
-
-def build_hamiltonian_action(profile: CouplingProfile) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a function applying H to a state vector of 2**n amplitudes.
-
-    Each bond contributes amplitude 2 J_i between basis states that differ
-    by swapping an anti-aligned neighbouring pair; total magnetization is
-    conserved.
-    """
-    n = profile.n_sites
-    bonds = [(_bond_indices(n, b), profile.rates[b - 1]) for b in range(1, n)]
-
-    def action(psi: np.ndarray) -> np.ndarray:
-        psi = np.asarray(psi)
-        if psi.shape != (2**n,):
-            raise ValueError(f"state must have length {2**n}, got {psi.shape}")
-        out = np.zeros_like(psi, dtype=complex)
-        for (src, dst), rate in bonds:
-            out[dst] += rate * psi[src]
-        return out
-
-    return action
 
 
 def sector_blocks(profile: CouplingProfile) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -233,9 +233,7 @@ def _cmd_optimize(args) -> int:
     }
     payload = {"optimum": result.to_dict()}
     if args.cross_validate:
-        report = cross_validate(
-            boundary_profile(args.n, result.eta), result.time, seed=args.seed
-        )
+        report = cross_validate(boundary_profile(args.n, result.eta), result.time)
         payload["cross_validation"] = report.to_dict()
     _emit(args, _json_document(args, config, payload))
     if not result.refinement.converged:
@@ -371,24 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--tolerance", type=float, default=1e-5)
     opt.add_argument("--cross-validate", action="store_true",
                      help="also run the exact protocol average at the optimum")
-    opt.add_argument("--seed", type=int, default=None)
     _add_common(opt)
     opt.set_defaults(handler=_cmd_optimize)
 
-    for name in ("verify", "identity"):
-        verify = commands.add_parser(
-            name, help="check the end-to-end operator identities"
-        )
-        _add_profile_args(verify)
-        verify.add_argument("--t", type=parse_time, default=None,
-                            help="evolution time; default pi/4")
-        verify.add_argument("--tolerance", type=float, default=1e-8)
-        verify.add_argument(
-            "--condition", default=None,
-            help="also check a single-correction triple, e.g. X,I,X",
-        )
-        _add_common(verify)
-        verify.set_defaults(handler=_cmd_verify)
+    verify = commands.add_parser(
+        "verify", aliases=["identity"], help="check the end-to-end operator identities"
+    )
+    _add_profile_args(verify)
+    verify.add_argument("--t", type=parse_time, default=None,
+                        help="evolution time; default pi/4")
+    verify.add_argument("--tolerance", type=float, default=1e-8)
+    verify.add_argument(
+        "--condition", default=None,
+        help="also check a single-correction triple, e.g. X,I,X",
+    )
+    _add_common(verify)
+    verify.set_defaults(handler=_cmd_verify)
 
     return parser
 

@@ -398,26 +398,21 @@ class CrossValidation:
         }
 
 
-def cross_validate(
-    profile: CouplingProfile,
-    time: float,
-    inputs: str = "axial",
-    n_input_samples: int = 20,
-    seed: int | None = None,
-    medium: str = "all-zero",
-) -> CrossValidation:
+def cross_validate(profile: CouplingProfile, time: float) -> CrossValidation:
     """Run the exact protocol average at (profile, time) and report the
     difference from the coefficient-engine estimate.
 
-    The default "axial" input mode is deterministic and equals the uniform
-    pure-state average exactly, so the gap it reports is free of sampling
-    noise.
+    The average is over the six axial inputs, a 2-design, so it equals the
+    uniform pure-state average exactly and draws nothing: no seed can move
+    it.  It runs on the all-zero medium because no other medium moves it
+    either.  Summed over branches the protocol is an affine qubit channel
+    r -> T r + s whose axial average is 1/2 + tr T / 6; only the shift s
+    depends on the medium.  That tr T does not was established numerically,
+    not derived: the axial averages agreed within 2.7e-15 over 1,168 cases
+    (n = 2..10, every medium kind, both thermal variants, mixed end states).
     """
     estimate = estimate_fidelity(profile, time)
-    exact = average_fidelity(
-        profile, time=time, n_input_samples=n_input_samples,
-        seed=seed, inputs=inputs, medium=medium,
-    )
+    exact = average_fidelity(profile, time=time, inputs="axial")
     return CrossValidation(
         n_sites=profile.n_sites,
         time=float(time),

@@ -15,9 +15,7 @@ bounds.  Dense operator conjugation stops at 8 sites.  The chain
 conserves total Z, so time evolution (:func:`evolve_columns`) and both
 thermal mediums diagonalize the magnetization-sector blocks of
 :func:`xxqst.chain.sector_blocks` one at a time and never form the
-2**n x 2**n Hamiltonian or propagator.  :func:`thermal_factor` gives a
-thermal medium as columns and weights, diagonalized one interior-
-magnetization block at a time.  The protocol runs here only on
+2**n x 2**n Hamiltonian or propagator.  The protocol runs here only on
 mediums that are not fermionic Gaussian states (random-pure and explicit
 ones); the Gaussian mediums take :mod:`xxqst.heisenberg`.
 """
@@ -53,7 +51,6 @@ __all__ = [
     "reduced_state",
     "fidelity",
     "thermal_medium",
-    "thermal_factor",
 ]
 
 _ENV_CAP = "XXQST_ORACLE_CAP"
@@ -252,7 +249,8 @@ class PauliString:
         letters = tuple(self.letters)
         if len(letters) != self.n_sites:
             raise ValueError(f"expected {self.n_sites} letters, got {len(letters)}")
-        if any(l not in "IXYZ" for l in letters):
+        # the keys are the four single letters: "" or "XY" is no letter
+        if any(l not in _PAULI_MATS for l in letters):
             raise ValueError(f"letters must be from IXYZ, got {letters!r}")
         phase = complex(self.phase)
         if not any(abs(phase - p) < 1e-12 for p in _PHASES):
@@ -290,9 +288,6 @@ class PauliString:
 
     def dagger(self) -> "PauliString":
         return PauliString(self.n_sites, self.letters, np.conj(self.phase))
-
-    def is_hermitian(self) -> bool:
-        return abs(self.phase.imag) < 1e-12
 
     def weight(self) -> int:
         return sum(1 for l in self.letters if l != "I")
@@ -594,8 +589,18 @@ def fidelity(a, b) -> float:
     return float(np.sum(singulars) ** 2)
 
 
-def _gibbs_matrix(profile: CouplingProfile, beta: float, variant: str) -> np.ndarray:
-    """Normalized real Gibbs matrix of the interior sites; see thermal_medium."""
+def thermal_medium(profile: CouplingProfile, beta: float,
+                   variant: str = "subchain") -> DensityMatrix:
+    """Gibbs state of the interior sites 2..N-1 at inverse temperature beta.
+
+    "subchain" (default) takes exp(-beta H_med)/Z for the interior chain
+    with couplings J_2..J_{N-2}; "fullchain" reduces the Gibbs state of the
+    whole chain to the interior.  Both are built from the magnetization-
+    sector eigensystems of their chain, which must fit the size cap: N - 2
+    sites for "subchain", N for "fullchain".  The N - 2 site medium must
+    also fit DENSE_SITE_LIMIT.  beta = 0 gives the maximally mixed medium
+    exactly.
+    """
     n = profile.n_sites
     if n < 3:
         raise ValueError(f"thermal medium needs n >= 3, got {n}")
@@ -614,7 +619,7 @@ def _gibbs_matrix(profile: CouplingProfile, beta: float, variant: str) -> np.nda
         # the chain an explicit medium is evolved on: share its cached eigensystems
         blocks = _sector_eigh(profile)
     elif n_med == 1:
-        return np.eye(2) / 2.0
+        return DensityMatrix(1, np.eye(2) / 2.0)
     else:
         # uncached, so the one-chain cache keeps the evolved chain
         blocks = _eigensystems(CouplingProfile(n_med, profile.couplings[1:-1]))
@@ -635,59 +640,4 @@ def _gibbs_matrix(profile: CouplingProfile, beta: float, variant: str) -> np.nda
             rows = ends == end
             part = v[rows]
             gibbs[np.ix_(interior[rows], interior[rows])] += (part * weights) @ part.T
-    return gibbs / np.trace(gibbs)
-
-
-def thermal_medium(profile: CouplingProfile, beta: float,
-                   variant: str = "subchain") -> DensityMatrix:
-    """Gibbs state of the interior sites 2..N-1 at inverse temperature beta.
-
-    "subchain" (default) takes exp(-beta H_med)/Z for the interior chain
-    with couplings J_2..J_{N-2}; "fullchain" reduces the Gibbs state of the
-    whole chain to the interior.  Both are built from the magnetization-
-    sector eigensystems of their chain, which must fit the size cap: N - 2
-    sites for "subchain", N for "fullchain".  The N - 2 site medium must
-    also fit DENSE_SITE_LIMIT.  beta = 0 gives the maximally mixed medium
-    exactly.
-    """
-    return DensityMatrix(profile.n_sites - 2, _gibbs_matrix(profile, beta, variant))
-
-
-def thermal_factor(profile: CouplingProfile, beta: float,
-                   variant: str = "subchain") -> tuple[np.ndarray, np.ndarray]:
-    """The thermal medium as real orthonormal columns V and weights w with
-    V diag(w) V^T equal to ``thermal_medium(profile, beta, variant).matrix``.
-
-    The Gibbs state commutes with total Z, so it is block diagonal over the
-    interior magnetization and each block is diagonalized on its own.  The
-    weights are its eigenvalues, kept as computed, under the bounds
-    DensityMatrix applies: a block asymmetry above 1e-12, a weight below
-    -1e-10 or a weight sum off 1 by more than 1e-10 raises
-    InternalConsistencyError.
-    """
-    gibbs = _gibbs_matrix(profile, beta, variant)
-    n_med = profile.n_sites - 2
-    occ = np.bitwise_count(np.arange(2**n_med))
-    columns = np.zeros_like(gibbs)
-    weights = np.empty(2**n_med)
-    start = 0
-    for k in range(n_med + 1):
-        idx = np.flatnonzero(occ == k)
-        block = gibbs[np.ix_(idx, idx)]
-        # eigh reads one triangle only, so an asymmetry would go unseen
-        asym = float(np.max(np.abs(block - block.T)))
-        if asym > 1e-12:
-            raise InternalConsistencyError(
-                f"Gibbs block with {k} excitations not symmetric: deviation {asym:.3e}"
-            )
-        stop = start + len(idx)
-        weights[start:stop], columns[idx, start:stop] = np.linalg.eigh(block)
-        start = stop
-    lo, total = float(np.min(weights)), float(np.sum(weights))
-    # phrased so that a NaN or infinite weight fails too
-    if not (lo >= -1e-10 and abs(total - 1.0) <= 1e-10):
-        raise InternalConsistencyError(
-            f"Gibbs weights out of bounds: min {lo:.3e} (bound -1e-10), "
-            f"sum {total!r} (bound 1 +- 1e-10)"
-        )
-    return columns, weights
+    return DensityMatrix(n_med, gibbs / np.trace(gibbs))

@@ -554,7 +554,9 @@ def verify_transfer_condition(
     """
     n = profile.n_sites
     t = REVIVAL_TIME if time is None else float(time)
-    if left_op not in "XYZ" or right_op not in "XYZ" or mid_op not in "IXYZ":
+    # tuples, not strings: a substring test would pass "" and "XY"
+    letters = ("X", "Y", "Z")
+    if left_op not in letters or right_op not in letters or mid_op not in ("I", *letters):
         raise ValueError("operators must be single Pauli letters (mid may be I)")
     # conjugate_operator refuses an oversized chain before any dense matrix exists
     evolved_left = conjugate_operator(PauliString.single(n, 1, left_op), profile, t)
@@ -562,7 +564,7 @@ def verify_transfer_condition(
     mid = PauliString.single(n, n, mid_op).to_matrix() if mid_op != "I" else identity
     right = PauliString.single(n, n, right_op).to_matrix()
     entries = []
-    for letter in "XYZ":
+    for letter in letters:
         evolved_o = conjugate_operator(PauliString.single(n, n, letter), profile, t)
         target_site1 = PauliString.single(n, 1, letter).to_matrix()
         if left_exponents is not None and right_exponents is not None:

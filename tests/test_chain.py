@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from xxqst import (
     CouplingProfile,
     boundary_profile,
-    build_hamiltonian_action,
     dense_hamiltonian,
     perfect_profile,
 )
 from xxqst.chain import sector_blocks
+from xxqst.oracle import evolve_columns
 
 import reference
 
@@ -114,17 +115,17 @@ def test_perfect_spectrum_is_equally_spaced_ladder(n):
 
 
 def test_action_flips_antialigned_pair():
-    action = build_hamiltonian_action(perfect_profile(2))
-    out = action(np.array([0, 1, 0, 0], dtype=complex))  # |01>
-    assert np.allclose(out, [0, 0, 2, 0])                # 2 |10>
-    assert np.allclose(action(np.array([1, 0, 0, 0], dtype=complex)), 0)
+    h = dense_hamiltonian(perfect_profile(2))
+    out = h @ np.array([0, 1, 0, 0], dtype=complex)  # |01>
+    assert np.allclose(out, [0, 0, 2, 0])            # 2 |10>
+    assert np.allclose(h @ np.array([1, 0, 0, 0], dtype=complex), 0)
 
 
 def test_action_three_site_example():
-    action = build_hamiltonian_action(perfect_profile(3))
+    h = dense_hamiltonian(perfect_profile(3))
     state = np.zeros(8, dtype=complex)
     state[0b010] = 1.0
-    out = action(state)
+    out = h @ state
     expected = np.zeros(8, dtype=complex)
     expected[0b100] = 2 * math.sqrt(2)
     expected[0b001] = 2 * math.sqrt(2)
@@ -132,21 +133,17 @@ def test_action_three_site_example():
 
 
 def test_action_rejects_wrong_dimension():
-    action = build_hamiltonian_action(perfect_profile(3))
-    with pytest.raises(ValueError):
-        action(np.zeros(4))
+    with pytest.raises(ValueError, match="expected 8 rows for 3 sites"):
+        evolve_columns(np.zeros(4), perfect_profile(3), 0.1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_action_conserves_magnetization(n):
-    action = build_hamiltonian_action(perfect_profile(n))
-    for index in range(2**n):
-        basis = np.zeros(2**n, dtype=complex)
-        basis[index] = 1.0
-        out = action(basis)
-        ones = bin(index).count("1")
-        for hit in np.flatnonzero(np.abs(out) > 1e-12):
-            assert bin(int(hit)).count("1") == ones
+    h = dense_hamiltonian(perfect_profile(n))
+    ones = np.array([bin(i).count("1") for i in range(2**n)])
+    # no entry couples basis states with different excitation numbers
+    assert not np.any(h[ones[:, None] != ones[None, :]])
+    assert np.any(h)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -171,8 +168,10 @@ def test_sector_blocks_partition_by_excitations(n):
 
 
 def test_dense_agrees_with_action(rng):
+    # the sector-block evolution against the exponential of the dense H
     profile = CouplingProfile(5, tuple(rng.random(4) + 0.5))
-    h = dense_hamiltonian(profile)
-    action = build_hamiltonian_action(profile)
+    t = 0.7
+    propagator = expm(-1j * t * dense_hamiltonian(profile))
     psi = reference.random_pure(rng, 5)
-    assert np.allclose(h @ psi, action(psi))
+    assert np.max(np.abs(propagator @ psi - evolve_columns(psi, profile, t))) < 1e-12
+    assert np.max(np.abs(propagator - evolve_columns(np.eye(32), profile, t))) < 1e-12

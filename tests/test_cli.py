@@ -356,6 +356,7 @@ def test_verify_past_the_dense_conjugation_limit_exit_code(capsys):
 def test_verify_identity_alias(capsys):
     code, out, _ = run_cli(capsys, "identity", "--n", "4", "--no-timestamp")
     assert code == 0
+    assert (code, out) == run_cli(capsys, "verify", "--n", "4", "--no-timestamp")[:2]
 
 
 def test_verify_condition_even_chain(capsys):
@@ -380,6 +381,17 @@ def test_verify_condition_malformed(capsys):
     )
     assert code == 2
     assert "three letters" in err
+
+
+@pytest.mark.parametrize("condition", ["XY,I,X", ",I,X", "X,,X", "X,I,YZ"])
+def test_verify_condition_refuses_words_that_are_not_letters(capsys, condition):
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "4", "--condition", condition, "--no-timestamp",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: operators must be single Pauli letters")
+    assert "Traceback" not in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

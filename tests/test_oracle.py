@@ -26,7 +26,7 @@ from xxqst import (
 )
 from xxqst import oracle
 from xxqst.errors import InternalConsistencyError
-from xxqst.oracle import DENSE_SITE_LIMIT, check_size, evolve_columns, thermal_factor
+from xxqst.oracle import DENSE_SITE_LIMIT, check_size, evolve_columns
 
 import reference
 
@@ -200,6 +200,13 @@ def test_pauli_string_validation():
     assert PauliString.single(3, 2, "Y").weight() == 1
 
 
+@pytest.mark.parametrize("word", [("", "I"), ("XY", "I"), ("IX", "Z")])
+def test_pauli_string_refuses_words_that_are_not_letters(word):
+    # each letter is one of the four, not a substring of "IXYZ"
+    with pytest.raises(ValueError, match="letters must be from IXYZ"):
+        PauliString(2, word)
+
+
 def test_string_basis_families():
     forward = string_basis(4, "site1")
     assert [s.letters for s in forward] == [
@@ -341,9 +348,8 @@ def test_size_rule_separates_dense_work(monkeypatch):
         check_size(15)
     # a 13-site medium fits the cap but is dense: refused before any eigensolve
     monkeypatch.setattr(oracle, "_eigensystems", None)
-    for medium in (thermal_medium, thermal_factor):
-        with pytest.raises(ResourceLimitError, match="limited to 12"):
-            medium(perfect_profile(15), 1.0)
+    with pytest.raises(ResourceLimitError, match="limited to 12"):
+        thermal_medium(perfect_profile(15), 1.0)
 
 
 def test_size_rule_follows_a_lower_cap(monkeypatch):
@@ -669,14 +675,26 @@ def test_thermal_medium_subchain_matches_reference(n):
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_thermal_factor_rebuilds_the_medium(n):
+    # the Gibbs state commutes with total Z: it is block diagonal over the
+    # interior magnetization, and its per-block eigenvalues are its weights
     profile = perfect_profile(n)
+    ones = np.bitwise_count(np.arange(2 ** (n - 2)))
     for variant in ("subchain", "fullchain"):
         for beta in (0.0, 0.5, 3.0):
-            columns, weights = thermal_factor(profile, beta, variant)
             medium = thermal_medium(profile, beta, variant).matrix
-            assert np.max(np.abs((columns * weights) @ columns.T - medium)) < 1e-14
-            assert np.max(np.abs(columns.T @ columns - np.eye(len(weights)))) < 1e-14
+            assert not np.any(medium.imag)
+            medium = medium.real
+            assert not np.any(medium[ones[:, None] != ones[None, :]])
+            rebuilt = np.zeros_like(medium)
+            weights = []
+            for k in range(n - 1):
+                idx = np.flatnonzero(ones == k)
+                w, v = np.linalg.eigh(medium[np.ix_(idx, idx)])
+                rebuilt[np.ix_(idx, idx)] = (v * w) @ v.T
+                weights.extend(w)
+            assert np.max(np.abs(rebuilt - medium)) < 1e-14
             assert abs(np.sum(weights) - 1.0) < 1e-14
+            assert min(weights) >= -1e-10
 
 
 def _entries(*items):
@@ -689,18 +707,18 @@ def _entries(*items):
 
 @pytest.mark.parametrize("delta, message", [
     # a weight below -1e-10 at an unchanged sum
-    (_entries((0, 0, -2e-10), (3, 3, 2e-10)), "out of bounds"),
-    (_entries((0, 0, math.nan)), "out of bounds"),
-    (_entries((3, 3, 1e-9)), "out of bounds"),
+    pytest.param(_entries((0, 0, -2e-10), (3, 3, 2e-10)), "not positive",
+                 id="delta0-out of bounds"),
+    pytest.param(_entries((0, 0, math.nan)), "finite", id="delta1-out of bounds"),
+    pytest.param(_entries((3, 3, 1e-9)), "trace", id="delta2-out of bounds"),
     # eigh reads one triangle, so this would otherwise vanish unseen
-    (_entries((1, 2, 1e-11)), "symmetric"),
+    pytest.param(_entries((1, 2, 1e-11)), "Hermitian", id="delta3-symmetric"),
 ])
-def test_thermal_factor_certifies_its_weights(monkeypatch, delta, message):
+def test_thermal_factor_certifies_its_weights(delta, message):
     # at beta = 50 only the one-excitation ground state carries weight
-    gibbs = oracle._gibbs_matrix(perfect_profile(4), 50.0, "subchain")
-    monkeypatch.setattr(oracle, "_gibbs_matrix", lambda *args: gibbs + delta)
-    with pytest.raises(InternalConsistencyError, match=message):
-        thermal_factor(perfect_profile(4), 50.0)
+    gibbs = thermal_medium(perfect_profile(4), 50.0).matrix
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(2, gibbs + delta)
 
 
 def test_thermal_medium_respects_cap(monkeypatch):

@@ -77,8 +77,8 @@ def perfect_profile(n: int) -> CouplingProfile:
     exactly at t = pi/4."""
     if n < 2:
         raise ValueError(f"perfect profile needs n >= 2, got {n}")
-    couplings = tuple(float(np.sqrt(i * (n - i))) for i in range(1, n))
-    return CouplingProfile(n, couplings, "perfect")
+    i = np.arange(1, n)
+    return CouplingProfile(n, tuple(np.sqrt(i * (n - i)).tolist()), "perfect")
 
 
 def boundary_profile(n: int, eta: float) -> CouplingProfile:

@@ -22,12 +22,14 @@ evaluates the end-site expectations the protocol needs with Wick's theorem
 (Bravyi, QIC 5, 216 (2005)).  Every term is a coefficient in the exterior
 algebra of seven end-site linear forms.  The terms that keep the fermion
 parity hold every Majorana of the chain; in the medium's pair basis each
-pair contributes one commuting factor, so one product over the N pairs
-gives all of them.  The 2**n oracle is only needed for mediums that are
-not Gaussian.
+pair contributes one commuting factor, and since the two end sites are
+pairs with no moment of their own, the product over the N pairs has a
+closed form in O(N).  The medium enters in that basis, as (delta, Q).
+The 2**n oracle is only needed for mediums that are not Gaussian.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -284,12 +286,21 @@ class Propagator:
         amplitude = self._zeta[-1] * self.entries(times, 0, -1)
         return self._real(amplitude, times, "end amplitude") ** 2
 
+    def thermal_pairs(self, beta: float):
+        """The Gibbs state exp(-beta H)/Z of this chain in its pair basis:
+        (delta, V) with I - 2C = V diag(delta) V^T, C its correlation matrix
+        (:meth:`thermal_correlation`) and delta = tanh(beta w / 2), which
+        cannot overflow.  V is a read-only view of the eigenvectors."""
+        v = self._v.view()
+        v.flags.writeable = False
+        return np.tanh(0.5 * float(beta) * self._w), v
+
     def thermal_correlation(self, beta: float) -> np.ndarray:
         """<a_i^dag a_j> in the Gibbs state exp(-beta H)/Z of this chain, a_j
         the Jordan-Wigner fermion of site j: V diag(f) V^T with the Fermi
-        occupations f = (1 - tanh(beta w / 2)) / 2, which cannot overflow."""
-        occupations = (1.0 - np.tanh(0.5 * float(beta) * self._w)) / 2.0
-        return (self._v * occupations[..., None, :]) @ self._v.swapaxes(-1, -2)
+        occupations f = (1 - delta) / 2 of :meth:`thermal_pairs`."""
+        delta, v = self.thermal_pairs(beta)
+        return (v * ((1.0 - delta) / 2.0)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def _complex(real, imag):
@@ -437,17 +448,76 @@ def _complex_slots(bins: np.ndarray) -> np.ndarray:
     return np.stack([2 * bins, 2 * bins + 1], axis=1).ravel()
 
 
-def _scatter(slots: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Complex sums over `size` bins of `values` (contiguous), placed by
-    _complex_slots, each bin summed in the order of `values`."""
-    return np.bincount(slots, values.view(float), 2 * size).view(complex)
+# the 21 two-forms e_a e_b (a < b) of the exterior algebra on the seven forms
+_PAIR_A, _PAIR_B = np.triu_indices(len(_FORMS), 1)
+_PAIR_INDEX = {(a, b): p for p, (a, b) in enumerate(zip(_PAIR_A.tolist(), _PAIR_B.tolist()))}
+# the offsets of the flat factors of every Wick term (_pair_factors): 1, D,
+# and the 21 entries each of K, omega_1, omega_N and L
+_ONE, _D, _K, _W1, _WN, _L = 0, 1, 2, 23, 44, 65
+_FLAT = 86
+
+
+def _matchings(forms):
+    """(sign, pairs) for each perfect matching of the sorted forms, pairs as
+    indices into _PAIR_A and _PAIR_B: the Pfaffian's expansion along its
+    first row, so e_p e_q ... = sign e_forms."""
+    if not forms:
+        yield 1, ()
+        return
+    first, rest = forms[0], forms[1:]
+    for i, other in enumerate(rest):
+        for sign, pairs in _matchings(rest[:i] + rest[i + 1:]):
+            yield (-1) ** i * sign, (_PAIR_INDEX[first, other],) + pairs
+
+
+def _product_table(targets):
+    """Each target as a signed sum of products of three flat factors.
+
+    A target (bin, coefficients, parity, forms), with one coefficient per
+    N mod 4 and sorted forms S, sums into its bin the coefficient times the
+    coefficient of e_S in exp(K), or with parity in omega_1 ^ omega_N ^
+    (D + L).  Returns (slots, coefficients, factors, bins): per product its
+    bin as _complex_slots, its coefficients (shape (4, products)) and its
+    flat factors (shape (3, products)), then the number of bins.
+
+    Two-forms commute, so the coefficient of e_S in a product of them is a
+    sum over the perfect matchings of S, each with the sign of its
+    permutation, of the products that put one factor on each pair: exp(K)
+    takes k on every pair (K^r / r! over the r! orders), and omega_1 ^
+    omega_N ^ (D + L) puts omega_1 and omega_N on two pairs in either order
+    and then D, or L on a third pair in any order; below degree 4 it is 0."""
+    entries = []
+    for bin_, coefficients, parity, forms in targets:
+        for sign, pairs in _matchings(forms):
+            signed = [sign * c for c in coefficients]
+            if not parity:
+                entries.append((bin_, signed, *(_K + p for p in pairs), *(_ONE,) * (3 - len(pairs))))
+            elif len(pairs) == 2:
+                entries += [(bin_, signed, _W1 + p, _WN + q, _D)
+                            for p, q in itertools.permutations(pairs)]
+            elif len(pairs) == 3:
+                entries += [(bin_, signed, _W1 + p, _WN + q, _L + r)
+                            for p, q, r in itertools.permutations(pairs)]
+    bins, coefficients, *factors = zip(*entries)
+    return (_complex_slots(np.array(bins)), np.array(coefficients, dtype=complex).T.copy(),
+            np.array(factors), 1 + max(target[0] for target in targets))
+
+
+def _sum_products(flat: np.ndarray, table, row: int) -> np.ndarray:
+    """The targets of a _product_table from the flat factors, each product
+    weighted by its coefficient for N mod 4 = row and each bin summed in
+    the order of the products."""
+    slots, coefficients, factors, bins = table
+    values = coefficients[row] * flat[factors].prod(axis=0)
+    return np.bincount(slots, values.view(float), 2 * bins).view(complex)
 
 
 def _wick_terms():
-    """The nonvanishing Wick terms of the seven expectations, as arrays over
-    the terms: the slots of its part (odd in c or not, expectation index),
-    coefficient, carries P, and the index of its forms' mask among the even
-    masks (see _WEDGE)."""
+    """The nonvanishing Wick terms of the seven expectations as targets of
+    _product_table, each once for either row of the result: its bin (row,
+    expectation index), its coefficient for each N mod 4, which holds the
+    phase (-i)^N of P and, on row 1 (c -> -c), the sign of a term odd in c,
+    whether it carries P, and its forms."""
     terms = []
     for out, (c_op, op) in enumerate(_END_OPERATORS):
         for c_in, f_in in _INPUT_TERMS:
@@ -465,152 +535,153 @@ def _wick_terms():
                 if forms != sorted(set(forms)):
                     raise InternalConsistencyError(f"Wick term forms {forms} out of _FORMS order")
                 # odd Majorana products vanish on a parity-even state
-                if len(forms) % 2 == 0:
-                    terms.append((out, bool(f_ket), coef, parity, sum(1 << a for a in forms) & 63))
-    out, odd, coef, parity, mask = zip(*terms)
-    part = np.array(odd, dtype=int) * len(_END_OPERATORS) + np.array(out)
-    return (_complex_slots(part), np.array(coef, dtype=complex),
-            np.array(parity), np.array(mask))
+                if len(forms) % 2:
+                    continue
+                phases = (1, -1j, -1, 1j) if parity else (1,) * 4
+                for row in (0, 1):
+                    sign = -1 if row and f_ket else 1
+                    terms.append((row * len(_END_OPERATORS) + out,
+                                  [sign * coef * phase for phase in phases], parity, forms))
+    return terms
 
 
-_TERM_SLOTS, _TERM_COEF, _TERM_PARITY, _TERM_MASK = _wick_terms()
-# the 21 two-forms e_a e_b (a < b) of the exterior algebra on the seven forms
-_PAIR_A, _PAIR_B = np.triu_indices(len(_FORMS), 1)
+_TERMS = _product_table(_wick_terms())
 
 
-def _wedge_table():
-    """x ^ omega as a scatter over the 64 even masks, each stored at the
-    index of its low six bits (bit 6 is their parity): one entry (dst, src,
-    pair, sign) for every even mask m and pair a < b outside it, with
-    e_m e_a e_b = sign e_{m | a | b} and sign = (-1)^(#(m above a) + #(m above b)),
-    dst given as its _complex_slots."""
-    entries = []
-    for src in range(64):
-        m = src | (src.bit_count() & 1) << 6
-        for pair, (a, b) in enumerate(zip(_PAIR_A.tolist(), _PAIR_B.tolist())):
-            if not m & (1 << a | 1 << b):
-                sign = (-1) ** ((m >> a + 1).bit_count() + (m >> b + 1).bit_count())
-                entries.append(((m | 1 << a | 1 << b) & 63, src, pair, sign))
-    dst, src, pair, sign = (np.array(column) for column in zip(*entries))
-    return _complex_slots(dst), src, pair, sign.astype(float)
+def _pair_factors(k: np.ndarray, delta: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The flat factors (1, D, K, omega_1, omega_N, L) of exp(K) and prod_j
+    (i delta_j + omega_j) ^ exp(K), for K = sum_{a<b} k_ab e_a e_b (21
+    entries) and omega_j = -u[j] ^ v[j], u[j] and v[j] one-forms of 7
+    entries each and delta real, over at least two pairs of which the
+    first and the last have delta = 0 (the end sites); else ``ValueError``.
 
-
-_WEDGE = _wedge_table()
-
-
-def _signed(omega: np.ndarray) -> np.ndarray:
-    """sign * omega[pair] over the scatter entries, for two-forms given by
-    their 21 entries omega_ab (a < b) on the last axis."""
-    _, _, pair, sign = _WEDGE
-    return sign * omega[..., pair]
-
-
-def _wedge(x: np.ndarray, signed: np.ndarray) -> np.ndarray:
-    """x ^ omega for an even element x (64 entries) and a two-form omega
-    given as _signed(omega)."""
-    slots, src, _, _ = _WEDGE
-    return _scatter(slots, x[src] * signed, 64)
-
-
-def _pair_product(k: np.ndarray, delta: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """exp(K) and prod_j (i delta_j + omega_j) ^ exp(K) for K = sum_{a<b}
-    k_ab e_a e_b (21 entries) and omega_j = -u[j] ^ v[j], u[j] and v[j]
-    one-forms of 7 entries each.
-
-    Degrees cap at 6 and omega_j ^ omega_j = 0, so both are exact; the
-    coefficient of e_S in the product is the Pfaffian of the moments of the
-    pairs (i delta_j, u[j], v[j]) and then the forms S, with k among them.
+    Degrees cap at 6, so exp(K) = 1 + K + K^2/2 + K^3/6 exactly.  The end
+    factors omega_1 ^ omega_N have degree 4, so every product of two or
+    more interior omegas drops out against them, and so does every power of
+    K past the first: the product is omega_1 ^ omega_N ^ (D + L), with L =
+    D K + Omega, D = prod_j i delta_j and Omega = sum_j D_j omega_j over the
+    interior pairs, D_j the product of every interior factor but j, from
+    prefix and suffix products with no division by delta.  The coefficient
+    of e_S in it (:func:`_product_table`) is the Pfaffian of the moments of
+    the pairs (i delta_j, u[j], v[j]) and then the forms S, with k among
+    them; it is exactly 0 for |S| < 4.
     """
-    power = np.zeros(64, dtype=complex)
-    power[0] = 1.0
-    expk = power
-    signed_k = _signed(k)
-    for r in (1, 2, 3):
-        power = _wedge(power, signed_k) / r
-        expk = expk + power
-    omega = _signed(v[:, _PAIR_A] * u[:, _PAIR_B] - u[:, _PAIR_A] * v[:, _PAIR_B])
-    product = expk
-    for d, om in zip(delta, omega):
-        product = 1j * d * product + _wedge(product, om)
-    return expk, product
+    delta = np.asarray(delta, dtype=float)
+    if len(delta) < 2 or delta[0] or delta[-1]:
+        raise ValueError("the pair product needs at least two pairs, the first and the "
+                         f"last with delta = 0, got delta {delta}")
+    # the m interior delta_j: prefix[j] multiplies the first j of them and
+    # suffix[j] the last j, so D = i^m prefix[m] and D_j = i^(m-1) d_j for
+    # d_j = prefix[j] suffix[m-1-j]
+    inner = delta[1:-1]
+    runs = np.ones((2, len(inner) + 1))
+    runs[0, 1:], runs[1, 1:] = inner, inner[::-1]
+    prefix, suffix = np.multiply.accumulate(runs, axis=1)
+    # sum_j weight_j u[j] v[j]^T = outer for omega_1, omega_N and Omega /
+    # i^(m-1); each is then the two-form with entries outer_ba - outer_ab
+    weights = np.zeros((3, len(delta)))
+    weights[0, 0] = weights[1, -1] = 1.0
+    weights[2, 1:-1] = prefix[:-1] * suffix[-2::-1]
+    outer = (u.T * weights[:, None, :]) @ v
+    flat = np.empty(_FLAT, dtype=complex)
+    turn = (1, 1j, -1, -1j)[len(inner) % 4]
+    flat[:_K] = 1.0, turn * prefix[-1]
+    flat[_K:_W1] = k
+    two_forms = flat[_W1:].reshape(3, -1)
+    two_forms[:] = outer[:, _PAIR_B, _PAIR_A] - outer[:, _PAIR_A, _PAIR_B]
+    # L = D K + Omega = i^m (prefix[m] K - i Omega / i^(m-1))
+    two_forms[2] = turn * (prefix[-1] * k - 1j * two_forms[2])
+    return flat
 
 
 def gaussian_end_expectations(
     propagator: Propagator,
     time: float,
     bloch,
-    medium_correlation: np.ndarray,
+    medium,
     end_phase: complex,
 ) -> np.ndarray:
     """End-site expectations after evolving rho_1 (x) M (x) |kappa><kappa|.
 
     rho_1 is the site-1 state with Bloch vector ``bloch``, M the fermionic
-    Gaussian state of sites 2..N-1 with <a_i^dag a_j> =
-    ``medium_correlation`` and no pairing terms, and kappa =
+    Gaussian state of sites 2..N-1 with no pairing terms, and kappa =
     (|0> + c|1>)/sqrt(2) on site N.  Returns shape (2, 7): the expectations
     of X_1, X_N, Y_N, Z_N, X_1 X_N, X_1 Y_N, X_1 Z_N evolved over ``time``
     under the propagator's chain, row 0 for c = ``end_phase`` and row 1 for
     c = -end_phase.
 
+    ``medium`` is M in its pair basis, a pair (delta, Q): with C = <a_i^dag
+    a_j> its correlation matrix, I - 2C = Q diag(delta) Q^T, delta of
+    length N - 2 and Q orthogonal of size N - 2, or None for the identity
+    (the all-zero medium is delta = 1, the maximally mixed one delta = 0).
+    A shape off raises ``ValueError``; Q is not checked to be orthogonal.
+
     With G = (I/2) (x) M (x) (I/2), the state is 4 G r k for r = rho_1 and
     k = |kappa><kappa| written in Majoranas, so each expectation is a sum of
     Tr[G w_1 ... w_k] over products of at most six linear forms, each the
     Pfaffian of K_ij = <w_i w_j> (i < j).  A term with the parity P also
-    holds all 2N Majoranas.  Those are taken in the pair basis of the
-    medium: I - 2C = Q diag(delta) Q^T on the interior, and rotating the odd
-    and the even Majoranas by the same Q (determinant +1, so no Pfaffian
-    changes) leaves N pairs with <c_odd,j c_even,j> = i delta_j and no
+    holds all 2N Majoranas.  Rotating the odd and the even interior
+    Majoranas by the same Q (a rotation of determinant det(Q)^2 = 1, so no
+    Pfaffian changes) leaves N pairs with <c_odd,j c_even,j> = i delta_j and no
     moment across pairs; the two end sites are delta = 0 pairs.  Wick's
     theorem as a Grassmann integral over one variable per form reads every
     term from the even part (64 entries) of the exterior algebra of the
     seven forms: a term is the coefficient of e_S, S its forms, in exp(K)
     for K the two-form of the moments among the forms, and a parity term
-    in prod_j (i delta_j + omega_j) ^ exp(K), where integrating out pair j
-    leaves omega_j = -U_j ^ V_j, U_j and V_j its moments with the forms.
-    This costs O(N) after the pair basis, with no division by delta.  The
-    terms linear in c flip sign with it, so one evaluation serves both rows.
+    in prod_j (i delta_j + omega_j) ^ exp(K).  Integrating out pair j
+    leaves omega_j = -U_j ^ V_j for its moments with the forms U_j = o_j +
+    i delta_j e_j and V_j = e_j - i delta_j o_j (o_j and e_j the forms'
+    weights on it), and since o_j ^ o_j = e_j ^ e_j = 0, U_j ^ V_j = (1 -
+    delta_j^2) o_j ^ e_j, which is real.  The end pairs have delta = 0, so
+    the product is omega_1 ^ omega_N ^ (D + Omega) ^ exp(K) in closed form
+    (:func:`_pair_factors`): O(N) in a fixed number of array operations,
+    with no division by delta.  The terms linear in c flip sign with it,
+    so one evaluation serves both rows.
     """
     if propagator.rates.ndim != 1:
         raise ValueError("gaussian_end_expectations needs a propagator of one chain, "
                          f"got a stack of {len(propagator.rates)}")
     n = propagator.rates.shape[0] + 1
-    corr = np.asarray(medium_correlation, dtype=float)
-    if corr.shape != (n - 2, n - 2):
-        raise ValueError(f"expected a {n - 2} x {n - 2} medium correlation, got shape {corr.shape}")
+    delta, q = medium
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (n - 2,):
+        raise ValueError(f"expected {n - 2} medium pair values delta, got shape {delta.shape}")
+    if q is not None:
+        q = np.asarray(q, dtype=float)
+        if q.shape != (n - 2, n - 2):
+            raise ValueError(f"expected a {n - 2} x {n - 2} medium pair basis Q, got shape {q.shape}")
     x, y, z = (float(v) for v in bloch)
     c = complex(end_phase)
     # rows 1 and N of u = e^{-iht}; gamma(t) = R gamma with the 2 x 2 blocks
     # [[Re u_jl, -Im u_jl], [Im u_jl, Re u_jl]]
     ends = propagator.entries(time, [0, n - 1])
-    # each form's weights on gamma_{2j-1} (odd) and gamma_{2j} (even), a row per form
-    odd, even = np.zeros((2, len(_FORMS), n))
+    # each form's weights on gamma_{2j-1} (odd) and gamma_{2j} (even), a row
+    # per form; a form's row of `joined` holds both
+    forms = np.zeros((len(_FORMS), 2, n))
+    odd, even = forms[:, 0], forms[:, 1]
     odd[0, 0] = z
     even[1, 0] = 1.0
     odd[2, 0], even[2, 0] = x, y
     odd[3, -1], even[3, -1] = -c.imag, c.real
     odd[4:] = ends[0].real, ends[1].real, ends[1].imag
     even[4:] = -ends[0].imag, -ends[1].imag, ends[1].real
-    # <gamma_a gamma_b> = delta_ab + i Gamma_ab on G, whose correlation
-    # matrix is diag(1/2, C, 1/2): Gamma_{2i-1,2j} = D_ij = diag(0, I - 2C, 0)_ij.
-    # The pair basis: D = Q diag(delta) Q^T, Q the identity on the end sites
-    delta = np.zeros(n)
-    delta[1:-1], q = np.linalg.eigh(np.eye(n - 2) - 2.0 * corr)
-    odd[:, 1:-1] = odd[:, 1:-1] @ q
-    even[:, 1:-1] = even[:, 1:-1] @ q
-    # <c_odd,j w> and <c_even,j w>, a row per form w and a column per pair j
-    w_odd = odd + 1j * delta * even
-    w_even = even - 1j * delta * odd
+    # only the evolved forms reach the interior, where Q rotates both parts
+    if q is not None:
+        forms[4:, :, 1:-1] = forms[4:, :, 1:-1] @ q
+    # <gamma_a gamma_b> = delta_ab + i Gamma_ab on G; in the pair basis
+    # Gamma_{2j-1,2j} = delta_j, 0 on the end sites, and no other moment.
     # <w_a w_b> = f_a . f_b + i f_a Gamma f_b among the forms
-    plain = odd @ odd.T + even @ even.T + 1j * ((odd * delta) @ even.T - (even * delta) @ odd.T)
-    expk, pairs = _pair_product(plain[_PAIR_A, _PAIR_B], delta, w_odd.T, w_even.T)
-    # P = (-i)^N gamma_1 ... gamma_2N.  Every coefficient of the pair product
-    # holds at least N - 3 factors i delta_j, so on long hot chains the
-    # parity terms underflow to 0, their value to double precision
-    values = _TERM_COEF * np.where(
-        _TERM_PARITY, (1, -1j, -1, 1j)[n % 4] * pairs[_TERM_MASK], expk[_TERM_MASK])
-    # parts even and odd in c
-    parts = _scatter(_TERM_SLOTS, values, 2 * len(_END_OPERATORS)).reshape(2, -1)
-    return np.stack([parts[0] + parts[1], parts[0] - parts[1]])
+    tilt = (odd[:, 1:-1] * delta) @ even[:, 1:-1].T
+    joined = forms.reshape(len(_FORMS), -1)
+    plain = joined @ joined.T + 1j * (tilt - tilt.T)
+    pair_delta = np.zeros(n)
+    pair_delta[1:-1] = delta
+    flat = _pair_factors(plain[_PAIR_A, _PAIR_B], pair_delta, odd.T,
+                         (even * ((1.0 - pair_delta) * (1.0 + pair_delta))).T)
+    # P = (-i)^N gamma_1 ... gamma_2N.  Every parity term holds at least
+    # N - 3 factors i delta_j, so on long hot chains it underflows to 0,
+    # its value to double precision
+    return _sum_products(flat, _TERMS, n % 4).reshape(2, -1)
 
 
 def propagate(profile: CouplingProfile, time: float) -> CoefficientVector:

@@ -210,22 +210,23 @@ def _random_pure(rng: np.random.Generator, n_sites: int) -> StateVector:
 _GAUSSIAN = ("zero", "mixed", "thermal")
 
 
-def _medium_correlation(config: ProtocolConfig, kind: str, beta, chain: Propagator) -> np.ndarray:
-    """<a_i^dag a_j> over the interior sites of a Gaussian medium; `chain` is
-    the propagator of the whole chain."""
+def _medium_pairs(config: ProtocolConfig, kind: str, beta, chain: Propagator):
+    """A Gaussian medium in its pair basis, (delta, Q) with I - 2C =
+    Q diag(delta) Q^T over the interior sites and Q None for the identity;
+    `chain` is the propagator of the whole chain."""
     n_med = config.profile.n_sites - 2
     if kind == "zero":
-        return np.zeros((n_med, n_med))
-    if kind == "mixed":
-        return np.eye(n_med) / 2.0
+        return np.ones(n_med), None
+    # a lone interior site has no bond: its subchain Gibbs state is maximally mixed
+    if kind == "mixed" or config.thermal_variant == "subchain" and n_med < 2:
+        return np.zeros(n_med), None
     if config.thermal_variant == "fullchain":
         # Gibbs states are parity-even, so the fermionic reduction to the
-        # interior is the qubit one: the interior block
-        return chain.thermal_correlation(beta)[1:-1, 1:-1]
-    if n_med < 2:
-        # a lone interior site has no bond: its Gibbs state is maximally mixed
-        return np.eye(n_med) / 2.0
-    return Propagator(config.profile.rates[1:-1]).thermal_correlation(beta)
+        # interior is the qubit one: the interior block of the chain's
+        # I - 2C = V diag(delta) V^T, diagonalized
+        delta, v = chain.thermal_pairs(beta)
+        return np.linalg.eigh((v[1:-1] * delta) @ v[1:-1].T)
+    return Propagator(config.profile.rates[1:-1]).thermal_pairs(beta)
 
 
 def _bloch(state) -> tuple[float, float, float]:
@@ -244,7 +245,7 @@ def _gaussian_outcomes(config: ProtocolConfig, kind: str, beta) -> dict:
     chain = Propagator(config.profile.rates)
     moments = gaussian_end_expectations(
         chain, config.effective_time, _bloch(config.input_state),
-        _medium_correlation(config, kind, beta, chain), _I_POW[n % 4],
+        _medium_pairs(config, kind, beta, chain), _I_POW[n % 4],
     )
     outcomes = {}
     for o_pre, (x1, xn, yn, zn, x1xn, x1yn, x1zn) in zip((1, -1), moments.tolist()):
@@ -267,34 +268,37 @@ def _equatorial_ket(n: int, outcome: int) -> np.ndarray:
     return np.array([1.0, outcome * _I_POW[n % 4]]) / _SQRT2
 
 
-def _prepare(config: ProtocolConfig):
-    """The probabilities of the site-N outcomes, a function from a
+def _prepare(config: ProtocolConfig, rng: np.random.Generator | None = None):
+    """The probabilities of the site-N outcomes and a function from a
     pre-measurement outcome to its {o_post: (probability, unnormalized
-    site-N matrix)}, and the seeded generator after its medium draw.
+    site-N matrix)}.
 
     A Gaussian medium evaluates both outcomes here, in polynomial time.  Any
     other medium is set up as rho_in (x) medium on sites 1..N-1, columns V
     and weights w with rho = V diag(w) V^dagger, and each outcome is evolved
-    when asked for."""
+    when asked for.  A random-pure medium is drawn from `rng`, or from a
+    generator seeded with the config seed when none is given."""
     n = config.profile.n_sites
     # one size rule for every medium: the factored chain state of the exact
     # engine holds 2**n x 2**(n-1) amplitudes
     check_size(n, dense=True)
-    rng = np.random.default_rng(config.seed)
     end_cols, end_w = _factor(config.end_state or _END_STATE)
     p_pre = {o: float(np.sum(end_w * np.abs(_equatorial_ket(n, o).conj() @ end_cols) ** 2))
              for o in (1, -1)}
     kind, beta, explicit = _parse_medium(config.medium)
     if kind in _GAUSSIAN:
-        return p_pre, _gaussian_outcomes(config, kind, beta).__getitem__, rng
+        return p_pre, _gaussian_outcomes(config, kind, beta).__getitem__
     if n == 2:
         med_cols, med_w = np.ones((1, 1), dtype=complex), np.ones(1)
+    elif kind == "random":
+        rng = np.random.default_rng(config.seed) if rng is None else rng
+        med_cols, med_w = _factor(_random_pure(rng, n - 2))
     else:
-        med_cols, med_w = _factor(_random_pure(rng, n - 2) if kind == "random" else explicit)
+        med_cols, med_w = _factor(explicit)
     in_cols, in_w = _factor(config.input_state)
     front = np.einsum("ia,jb->ijab", in_cols, med_cols).reshape(2 ** (n - 1), -1)
     weights = np.outer(in_w, med_w).ravel()
-    return p_pre, partial(_post_outcomes, config, front, weights), rng
+    return p_pre, partial(_post_outcomes, config, front, weights)
 
 
 def _post_outcomes(config: ProtocolConfig, front, weights, o_pre: int) -> dict:
@@ -358,7 +362,7 @@ def run_protocol_branches(
     drawn once from the config seed and shared by all branches.
     """
     t = config.effective_time
-    p_pres, post_outcomes, _ = _prepare(config)
+    p_pres, post_outcomes = _prepare(config)
     results = []
     for o_pre, p_pre in p_pres.items():
         if p_pre < PROB_FLOOR:
@@ -376,8 +380,10 @@ def run_protocol_branches(
 
 def run_protocol(config: ProtocolConfig, apply_correction: bool = True) -> ProtocolResult:
     """Single sampled run: outcomes drawn with Born probabilities from the
-    config seed.  Deterministic given (config, seed)."""
-    p_pres, post_outcomes, rng = _prepare(config)
+    config seed, after the draw of a random-pure medium.  Deterministic
+    given (config, seed)."""
+    rng = np.random.default_rng(config.seed)
+    p_pres, post_outcomes = _prepare(config, rng)
     o_pre = 1 if rng.random() < min(max(p_pres[1], 0.0), 1.0) else -1
     outcomes = post_outcomes(o_pre)
     o_post = 1 if rng.random() < min(max(outcomes[1][0], 0.0), 1.0) else -1

@@ -22,7 +22,13 @@ from xxqst import (
     propagate,
     reduced_state,
 )
-from xxqst.heisenberg import _MIRROR_SITES, _pair_product, gaussian_end_expectations
+from xxqst.heisenberg import (
+    _MIRROR_SITES,
+    _pair_factors,
+    _product_table,
+    _sum_products,
+    gaussian_end_expectations,
+)
 
 import reference
 
@@ -170,7 +176,7 @@ def test_non_finite_time_rejected(bad):
         with pytest.raises(ValueError, match="finite"):
             prop.end_weights(times)
     with pytest.raises(ValueError, match="finite"):
-        gaussian_end_expectations(prop, bad, (0, 0, 1), np.zeros((2, 2)), 1j)
+        gaussian_end_expectations(prop, bad, (0, 0, 1), (np.ones(2), None), 1j)
     # a bad entry among good times, and a 2-D array, which is not flattened
     for times in (np.array([0.3, bad, 0.5]), np.full((2, 2), 0.3)):
         with pytest.raises(ValueError, match="finite"):
@@ -620,43 +626,93 @@ def test_pfaffian_rejects_odd_or_non_square_shapes():
             reference.pfaffian(np.zeros(shape))
 
 
+def _pair_pfaffian(k, delta, u, v, forms):
+    """Pf of the moments of the pairs (i delta_j, u[j], v[j]) and then the
+    sorted forms, with k among them.  Each zero-delta pair integrates out to
+    a two-form in the forms, so with more than len(forms) / 2 of them the
+    value is exactly 0.  The value is linear in each i delta_j, and a delta_j
+    below 1e-6 is taken out of the elimination, which would lose it against
+    the O(1) entries: Pf = Pf(delta_j = 0) + i delta_j Pf(without pair j)."""
+    zero = delta == 0
+    if 2 * zero.sum() > len(forms):
+        return 0.0
+    small = np.flatnonzero(~zero & (np.abs(delta) < 1e-6))
+    if small.size:
+        j = small[0]
+        held, rest = delta.copy(), np.arange(len(delta)) != j
+        held[j] = 0.0
+        return (_pair_pfaffian(k, held, u, v, forms)
+                + 1j * delta[j] * _pair_pfaffian(k, delta[rest], u[rest], v[rest], forms))
+    n_pairs = len(delta)
+    m = 2 * n_pairs + len(forms)
+    if not m:
+        return 1.0
+    moments = np.zeros((m, m), dtype=complex)
+    heads = np.arange(0, 2 * n_pairs, 2)
+    moments[heads, heads + 1] = 1j * delta
+    moments[heads, 2 * n_pairs:] = u[:, forms]
+    moments[heads + 1, 2 * n_pairs:] = v[:, forms]
+    moments[2 * n_pairs:, 2 * n_pairs:] = np.triu(k[np.ix_(forms, forms)], 1)
+    return reference.pfaffian(moments - moments.T)
+
+
+# every even set of the seven forms, and both of its coefficients: in exp(K)
+# (bin 2 i) and in the pair product (bin 2 i + 1)
+_EVEN_FORMS = [forms for forms in ([a for a in range(7) if mask >> a & 1] for mask in range(128))
+               if len(forms) % 2 == 0]
+_EVERY_COEFFICIENT = _product_table([(2 * i + parity, (1,) * 4, parity, forms)
+                                     for i, forms in enumerate(_EVEN_FORMS) for parity in (0, 1)])
+
+
 def test_pair_product_matches_the_reference_pfaffians(rng):
     # coefficient of e_S = Pf of the moments of the pairs, then the sorted
-    # forms S; an even mask of the seven forms is stored at its low six bits
+    # forms S.  The two end pairs have delta = 0, so every S below degree 4,
+    # and every other structural zero, is exactly 0
     rows, cols = np.triu_indices(7, 1)
     for case in range(40):
         k = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        n_pairs = case % 5
+        n_pairs = 2 + case % 5
         delta = rng.choice([0.0, 1e-9, 1.0, -1.0, rng.uniform(-1.0, 1.0)], size=n_pairs)
+        delta[0] = delta[-1] = 0.0
         u, v = rng.normal(size=(2, n_pairs, 7)) + 1j * rng.normal(size=(2, n_pairs, 7))
-        expk, product = _pair_product(k[rows, cols], delta, u, v)
-        if n_pairs == 0:
-            assert np.array_equal(expk, product)
-        for mask in range(128):
-            forms = [a for a in range(7) if mask >> a & 1]
-            if len(forms) % 2:
-                continue
-            m = 2 * n_pairs + len(forms)
-            moments = np.zeros((m, m), dtype=complex)
-            heads = np.arange(0, 2 * n_pairs, 2)
-            moments[heads, heads + 1] = 1j * delta
-            moments[heads, 2 * n_pairs:] = u[:, forms]
-            moments[heads + 1, 2 * n_pairs:] = v[:, forms]
-            moments[2 * n_pairs:, 2 * n_pairs:] = np.triu(k[np.ix_(forms, forms)], 1)
-            expected = reference.pfaffian(moments - moments.T) if m else 1.0
-            assert abs(product[mask & 63] - expected) <= 1e-12 * abs(expected)
+        flat = _pair_factors(k[rows, cols], delta, u, v)
+        coefficients = _sum_products(flat, _EVERY_COEFFICIENT, 0).reshape(-1, 2)
+        assert len(coefficients) == 64
+        for forms, (expk, product) in zip(_EVEN_FORMS, coefficients):
+            expected = _pair_pfaffian(k, delta[:0], u[:0], v[:0], forms)
+            assert abs(expk - expected) <= 1e-12 * abs(expected)
+            expected = _pair_pfaffian(k, delta, u, v, forms)
+            if len(forms) < 4 or expected == 0:
+                assert product == 0.0
+            else:
+                assert abs(product - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("delta", [[0.5, 0.0, 0.0], [0.0, 0.3, -0.2], [0.0]])
+def test_pair_product_needs_two_end_pairs_with_zero_delta(delta):
+    k, u = np.zeros(21), np.zeros((len(delta), 7))
+    with pytest.raises(ValueError, match="delta = 0"):
+        _pair_factors(k, np.array(delta), u, u)
 
 
 def test_gaussian_end_expectations_checks_the_medium_shape():
     prop = Propagator(perfect_profile(5).rates)
-    with pytest.raises(ValueError, match="3 x 3"):
-        gaussian_end_expectations(prop, 0.3, (0, 0, 1), np.zeros((5, 5)), 1j)
+    for medium, match in (((np.zeros(5), None), "3 medium pair values"),
+                          ((np.zeros((3, 3)), None), "3 medium pair values"),
+                          ((np.zeros(3), np.eye(5)), "3 x 3")):
+        with pytest.raises(ValueError, match=match):
+            gaussian_end_expectations(prop, 0.3, (0, 0, 1), medium, 1j)
 
 
 def test_gaussian_end_expectations_needs_one_chain():
     stacked = Propagator(np.ones((2, 4)))
     with pytest.raises(ValueError, match="one chain"):
-        gaussian_end_expectations(stacked, 0.3, (0, 0, 1), np.zeros((3, 3)), 1j)
+        gaussian_end_expectations(stacked, 0.3, (0, 0, 1), (np.zeros(3), None), 1j)
+
+
+def _pair_basis(correlation):
+    """(delta, Q) with I - 2C = Q diag(delta) Q^T, from a dense eigh."""
+    return np.linalg.eigh(np.eye(len(correlation)) - 2.0 * correlation)
 
 
 def _random_end_states(rng):
@@ -719,7 +775,7 @@ def test_gaussian_end_expectations_match_slater_states_on_long_chains(n, eta, t)
         np.array([reference.slater_end_expectations(profile.couplings, t, bloch, phase, orbitals)
                   for phase in (c, -c)])
         for orbitals in ((), (phi,)))
-    all_zero = gaussian_end_expectations(prop, t, bloch, np.zeros((n - 2, n - 2)), c)
+    all_zero = gaussian_end_expectations(prop, t, bloch, _pair_basis(np.zeros((n - 2, n - 2))), c)
     assert np.max(np.abs(all_zero - vacuum)) < 1e-12
-    one_mode = gaussian_end_expectations(prop, t, bloch, p * np.outer(phi, phi), c)
+    one_mode = gaussian_end_expectations(prop, t, bloch, _pair_basis(p * np.outer(phi, phi)), c)
     assert np.max(np.abs(one_mode - ((1 - p) * vacuum + p * filled))) < 1e-12

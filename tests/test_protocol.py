@@ -359,6 +359,59 @@ def test_gaussian_mediums_never_touch_the_sector_engine():
     assert _sector_eigh.cache_info() == before
 
 
+def test_gaussian_pair_bases_take_no_dense_eigh(monkeypatch):
+    # the all-zero and maximally-mixed mediums have Q = I, and the subchain
+    # thermal medium takes its pair basis from the interior's tridiagonal
+    # solve; only the full-chain variant diagonalizes I - 2C.  A Gaussian
+    # medium draws nothing, so run_protocol_branches builds no generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for n in (2, 3, 4, 12):
+        for medium in ("all-zero", "maximally-mixed", "thermal:0.8"):
+            config = ProtocolConfig(perfect_profile(n), bloch_state(1.1, 0.4), medium=medium,
+                                    seed=3)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", refuse)
+                branches = run_protocol_branches(config)
+            assert all(b.fidelity_out == pytest.approx(1.0, abs=1e-12) for b in branches)
+            assert run_protocol(config).fidelity_out == pytest.approx(1.0, abs=1e-12)
+    config = ProtocolConfig(perfect_profile(12), bloch_state(1.1, 0.4), medium="thermal:0.8",
+                            thermal_variant="fullchain")
+    with pytest.raises(AssertionError, match="called"):
+        run_protocol_branches(config)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_medium_pair_bases_match_a_dense_eigh(n):
+    # the pair basis each medium takes against the interior's I - 2C
+    # diagonalized densely: C = 0, I/2 and the subchain Gibbs correlation
+    # (1 - tanh(beta h / 2)) / 2 of the interior hopping matrix h
+    from xxqst.heisenberg import gaussian_end_expectations
+    from xxqst.protocol import _medium_pairs, _parse_medium
+
+    rng = np.random.default_rng(8800 + n)
+    profile = boundary_profile(n, 0.6)
+    chain = Propagator(profile.rates)
+    inner = profile.rates[1:-1]
+    w, v = np.linalg.eigh(np.diag(inner, 1) + np.diag(inner, -1))
+    correlations = {"all-zero": np.zeros((n - 2, n - 2)),
+                    "maximally-mixed": np.eye(n - 2) / 2.0,
+                    "thermal:0.8": (v * ((1.0 - np.tanh(0.4 * w)) / 2.0)) @ v.T}
+    bloch = rng.normal(size=3)
+    bloch *= 0.9 / np.linalg.norm(bloch)
+    c, t = np.exp(2j * np.pi * rng.uniform()), n / 4 + 5.0
+    for medium, correlation in correlations.items():
+        kind, beta, _ = _parse_medium(medium)
+        pairs = _medium_pairs(ProtocolConfig(profile, axial_state("0"), medium=medium),
+                              kind, beta, chain)
+        dense = np.linalg.eigh(np.eye(n - 2) - 2.0 * correlation)
+        ours = gaussian_end_expectations(chain, t, bloch, pairs, c)
+        theirs = gaussian_end_expectations(chain, t, bloch, dense, c)
+        assert np.max(np.abs(ours - theirs)) < 1e-12
+
+
 def test_finish_branch_bounds_its_cleanup():
     from xxqst.protocol import _finish_branch
 

@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_args(opt)
     opt.add_argument("--tolerance", type=float, default=1e-5)
     opt.add_argument("--cross-validate", action="store_true",
-                     help="also run the exact protocol average at the optimum")
+                     help="also report the exact average fidelity at the optimum")
     _add_common(opt)
     opt.set_defaults(handler=_cmd_optimize)
 

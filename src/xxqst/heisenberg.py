@@ -286,6 +286,26 @@ class Propagator:
         amplitude = self._zeta[-1] * self.entries(times, 0, -1)
         return self._real(amplitude, times, "end amplitude") ** 2
 
+    def average_fidelity(self, times):
+        """The protocol's exact mean fidelity over pure inputs, for any
+        medium and site-N start: F(t) = 1/2 + alpha_N^2 / 2 + (-1)^N u_11
+        u_NN / 6, O(N) per time and shaped as :meth:`end_weights`.
+
+        Summed over its branches the protocol is a qubit channel r -> T r +
+        s, with mean fidelity 1/2 + tr T / 6 (Nielsen, Phys. Lett. A 303, 249
+        (2002)).  Derived from the Heisenberg-evolved end operators: T_aa =
+        Tr[sigma_a E(sigma_a)] / 2 pairs sigma_a (x) M (x) kappa with X_1(t)
+        times the corrected site-N Pauli, or Z_N(t), and only the terms of
+        their strings that are the identity on every interior site survive,
+        so T_zz = T_yy = alpha_N^2 and T_xx = alpha_N^2 + (-1)^N u_11 u_NN
+        whatever the medium M.  u_11 and u_NN are real, as the chain is
+        bipartite (S h S = -h, S = diag((-1)^i), so u* = S u S); zeta_1 = 1,
+        so they are the weights of X_1 in X_1(t) and X_N in X_N(t)."""
+        u_11, u_nn = (self._real(self._zeta[0] * self.entries(times, k, k), times, "end diagonal")
+                      for k in (0, -1))
+        parity = 1.0 if self.rates.shape[-1] % 2 else -1.0
+        return 0.5 + self.end_weights(times) / 2.0 + parity * u_11 * u_nn / 6.0
+
     def thermal_pairs(self, beta: float):
         """The Gibbs state exp(-beta H)/Z of this chain in its pair basis:
         (delta, V) with I - 2C = V diag(delta) V^T, C its correlation matrix

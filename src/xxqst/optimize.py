@@ -5,9 +5,9 @@ never perfect; the cheap surrogate objective is the squared weight of the
 fully transferred operator string, evaluated with the coefficient engine.
 A coarse grid sweep locates the basin, a nested Brent line search
 (coupling strength outside, readout time inside) polishes it, and the
-exact protocol average cross-checks the surrogate.  A best estimate below
-_ESTIMATE_FLOOR is roundoff, not transfer, and is reported as not
-converged.
+protocol's exact average fidelity, in closed form on the same engine,
+cross-checks the surrogate.  A best estimate below _ESTIMATE_FLOOR is
+roundoff, not transfer, and is reported as not converged.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import CouplingProfile
-from .heisenberg import Propagator, estimate_fidelity
-from .protocol import AverageFidelityResult, average_fidelity
+from .heisenberg import Propagator
 
 __all__ = [
     "SweepResult",
@@ -379,12 +378,12 @@ def optimize_boundary(
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """Exact protocol average against the cheap estimate at one point."""
+    """Exact average fidelity against the cheap estimate at one point."""
 
     n_sites: int
     time: float
     estimate: float
-    exact: AverageFidelityResult
+    exact: float
     gap: float
 
     def to_dict(self) -> dict:
@@ -392,31 +391,21 @@ class CrossValidation:
             "n": self.n_sites,
             "time": self.time,
             "estimate": self.estimate,
-            "exact_mean": self.exact.mean,
-            "exact_stderr": self.exact.stderr,
+            "exact_mean": self.exact,
             "gap": self.gap,
         }
 
 
 def cross_validate(profile: CouplingProfile, time: float) -> CrossValidation:
-    """Run the exact protocol average at (profile, time) and report the
-    difference from the coefficient-engine estimate.
+    """The protocol's exact average fidelity at (profile, time) and its
+    difference from the coefficient-engine estimate alpha_N^2, both from
+    one ``Propagator`` of the chain.
 
-    The average is over the six axial inputs, a 2-design, so it equals the
-    uniform pure-state average exactly and draws nothing: no seed can move
-    it.  It runs on the all-zero medium because no other medium moves it
-    either.  Summed over branches the protocol is an affine qubit channel
-    r -> T r + s whose axial average is 1/2 + tr T / 6; only the shift s
-    depends on the medium.  That tr T does not was established numerically,
-    not derived: the axial averages agreed within 2.7e-15 over 1,168 cases
-    (n = 2..10, every medium kind, both thermal variants, mixed end states).
+    The average is :meth:`Propagator.average_fidelity`, 1/2 + alpha_N^2 / 2
+    + (-1)^N u_11 u_NN / 6, the mean over pure inputs of the protocol summed
+    over its branches, for every medium and site-N start.  It draws nothing
+    and runs no protocol, so no seed, medium or size rule reaches it.
     """
-    estimate = estimate_fidelity(profile, time)
-    exact = average_fidelity(profile, time=time, inputs="axial")
-    return CrossValidation(
-        n_sites=profile.n_sites,
-        time=float(time),
-        estimate=float(estimate),
-        exact=exact,
-        gap=float(exact.mean - estimate),
-    )
+    chain, time = Propagator(profile.rates), float(time)
+    estimate, exact = chain.end_weights(time), chain.average_fidelity(time)
+    return CrossValidation(profile.n_sites, time, estimate, exact, exact - estimate)

@@ -282,9 +282,11 @@ def _prepare(config: ProtocolConfig, rng: np.random.Generator | None = None):
     # one size rule for every medium: the factored chain state of the exact
     # engine holds 2**n x 2**(n-1) amplitudes
     check_size(n, dense=True)
-    end_cols, end_w = _factor(config.end_state or _END_STATE)
-    p_pre = {o: float(np.sum(end_w * np.abs(_equatorial_ket(n, o).conj() @ end_cols) ** 2))
-             for o in (1, -1)}
+    # <kappa_o| rho |kappa_o> = (1 + o (Re c x + Im c y)) / 2 for the ket
+    # (|0> + o c |1>)/sqrt(2), c = i**n, and rho's Bloch vector (x, y, z)
+    x, y, _ = _bloch(config.end_state or _END_STATE)
+    c = _I_POW[n % 4]
+    p_pre = {o: (1.0 + o * (c.real * x + c.imag * y)) / 2.0 for o in (1, -1)}
     kind, beta, explicit = _parse_medium(config.medium)
     if kind in _GAUSSIAN:
         return p_pre, _gaussian_outcomes(config, kind, beta).__getitem__
@@ -324,11 +326,16 @@ def _post_outcomes(config: ProtocolConfig, front, weights, o_pre: int) -> dict:
     return outcomes
 
 
-def _finish_branch(config, site_n, o_pre, o_post, weight, t, apply_correction):
-    """The branch result from its normalized site-N matrix: the correction,
-    then the roundoff clean-up, bounded at 1e-12, on the four entries."""
+def _finish_branch(config, site_n, p_post, o_pre, o_post, weight, t, apply_correction):
+    """The branch result from its unnormalized site-N matrix, of trace
+    p_post: the correction, then the roundoff clean-up on the four entries
+    of the normalized matrix, whose roundoff normalizing multiplied by
+    1 / p_post.  So it is bounded at 1e-12, or 5e-13 / p_post below p_post =
+    1/2: it symmetrizes, renormalizes and, past DensityMatrix's -1e-10 on the
+    smaller eigenvalue, scales the Bloch vector back onto the sphere."""
     n = config.profile.n_sites
-    (a, b), (c, d) = site_n.tolist()
+    bound = max(1e-12, 5e-13 / p_post)
+    (a, b), (c, d) = (site_n / p_post).tolist()
     if apply_correction:
         # conjugation by diag(1, phase), phase = +-i**n: S^n, or S^n Z
         phase = _I_POW[n % 4] if o_pre * o_post > 0 else -_I_POW[n % 4]
@@ -338,15 +345,22 @@ def _finish_branch(config, site_n, o_pre, o_post, weight, t, apply_correction):
         label = "none"
     anti = max(abs(a.imag), abs(d.imag), abs(b - c.conjugate()) / 2.0)
     trace_err = abs(a + d - 1.0)
-    if max(anti, trace_err) > 1e-12:
+    # minus the smaller eigenvalue of the Hermitian part
+    negative = (math.hypot(a.real - d.real, abs(b + c.conjugate())) - a.real - d.real) / 2.0
+    if max(anti, trace_err, negative) > bound:
         raise InternalConsistencyError(
             f"branch ({o_pre:+d}, {o_post:+d}) output off by {anti:.3e} (anti-Hermitian "
-            f"part) and {trace_err:.3e} (trace), past the clean-up bound 1e-12"
+            f"part), {trace_err:.3e} (trace) and {max(negative, 0.0):.3e} (negative "
+            f"eigenvalue), past the clean-up bound {bound:.3g}"
         )
     # scrub the roundoff just bounded before the type checks trace and Hermiticity
     b = (b + c.conjugate()) / 2.0
     tr = a.real + d.real
     a, b, d = a.real / tr, b / tr, d.real / tr
+    if negative > 1e-10:
+        length = math.hypot(a - d, 2.0 * abs(b))
+        z, b = (a - d) / length, b / length
+        a, d = (1.0 + z) / 2.0, (1.0 - z) / 2.0
     output = DensityMatrix(1, np.array([[a, b], [b.conjugate(), d]]))
     fid = fidelity(output, config.input_state)
     return ProtocolResult(o_pre, o_post, weight, output, fid, label, t)
@@ -371,7 +385,7 @@ def run_protocol_branches(
             if p_post < PROB_FLOOR:
                 continue
             results.append(_finish_branch(
-                config, site_n / p_post, o_pre, o_post, p_pre * p_post, t, apply_correction,
+                config, site_n, p_post, o_pre, o_post, p_pre * p_post, t, apply_correction,
             ))
     if not results:
         raise ZeroProbabilityError("every outcome branch has vanishing probability")
@@ -393,7 +407,7 @@ def run_protocol(config: ProtocolConfig, apply_correction: bool = True) -> Proto
             f"sampled branch ({o_pre:+d}, {o_post:+d}) has vanishing probability"
         )
     return _finish_branch(
-        config, site_n / p_post, o_pre, o_post, p_pres[o_pre] * p_post,
+        config, site_n, p_post, o_pre, o_post, p_pres[o_pre] * p_post,
         config.effective_time, apply_correction,
     )
 
@@ -405,67 +419,38 @@ def run_protocol(config: ProtocolConfig, apply_correction: bool = True) -> Proto
 @dataclass(frozen=True)
 class AverageFidelityResult:
     mean: float
-    stderr: float
-    n_inputs: int
-    n_mediums: int
     values: tuple[float, ...]
 
 
 def average_fidelity(
     profile: CouplingProfile,
     time: float | None = None,
-    n_input_samples: int = 20,
-    n_medium_samples: int = 1,
-    seed: int | None = None,
-    inputs: str = "haar",
     medium: MediumSpec = "all-zero",
     thermal_variant: str = "subchain",
+    seed: int | None = None,
 ) -> AverageFidelityResult:
-    """Mean transfer fidelity over random inputs (and mediums), with the
-    per-branch expectation taken exactly.
+    """Mean transfer fidelity over the six axial inputs, each the exact
+    branch sum of the protocol, in the order of AXIAL_NAMES.
 
-    inputs = "haar" draws n_input_samples pure states uniformly; "axial"
-    uses the six cardinal states deterministically (their mean equals the
-    uniform average for any qubit channel, the six states being a 2-design).
-    Only the "random-pure" medium consumes n_medium_samples; other mediums
-    are deterministic and evaluated once.
+    The six states are a 2-design, so for any qubit channel their mean is
+    the uniform average over pure inputs.  A "random-pure" medium is one
+    state drawn from `seed`, shared by the six runs; other mediums draw
+    nothing.  This is the protocol-side reference for the closed form
+    :meth:`xxqst.heisenberg.Propagator.average_fidelity`.
     """
-    if inputs not in ("haar", "axial"):
-        raise ValueError(f"inputs must be 'haar' or 'axial', got {inputs!r}")
-    rng = np.random.default_rng(seed)
-    if inputs == "axial":
-        input_states = [axial_state(name) for name in AXIAL_NAMES]
-    else:
-        if n_input_samples < 1:
-            raise ValueError("n_input_samples must be >= 1")
-        input_states = [_random_pure(rng, 1) for _ in range(n_input_samples)]
-
-    kind, beta, _ = _parse_medium(medium)
+    kind, _, _ = _parse_medium(medium)
     if kind == "random" and profile.n_sites > 2:
-        if n_medium_samples < 1:
-            raise ValueError("n_medium_samples must be >= 1")
-        mediums = [_random_pure(rng, profile.n_sites - 2) for _ in range(n_medium_samples)]
-    else:
-        mediums = [medium]
-
+        medium = _random_pure(np.random.default_rng(seed), profile.n_sites - 2)
     values = []
-    for med in mediums:
-        for state in input_states:
-            config = ProtocolConfig(
-                profile=profile, input_state=state, medium=med,
-                evolution_time=time, thermal_variant=thermal_variant,
-            )
-            branches = run_protocol_branches(config)
-            values.append(sum(b.probability * b.fidelity_out for b in branches))
-    arr = np.array(values)
-    stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return AverageFidelityResult(
-        mean=float(arr.mean()),
-        stderr=stderr,
-        n_inputs=len(input_states),
-        n_mediums=len(mediums),
-        values=tuple(float(v) for v in values),
-    )
+    for name in AXIAL_NAMES:
+        config = ProtocolConfig(
+            profile=profile, input_state=axial_state(name), medium=medium,
+            evolution_time=time, thermal_variant=thermal_variant,
+        )
+        branches = run_protocol_branches(config)
+        values.append(sum(b.probability * b.fidelity_out for b in branches))
+    return AverageFidelityResult(mean=float(np.array(values).mean()),
+                                 values=tuple(float(v) for v in values))
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,16 @@ def test_optimize_with_cross_validation(capsys):
     report = doc["cross_validation"]
     assert report["exact_mean"] > 0.999
     assert abs(report["gap"]) < 1e-4
+    assert set(report) == {"n", "time", "estimate", "exact_mean", "gap"}
+
+
+def test_optimize_cross_validates_past_the_dense_limit(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--n", "13", "--cross-validate",
+                             "--no-timestamp")
+    assert code == 0, err
+    report = json.loads(out)["cross_validation"]
+    assert 0.0 < report["exact_mean"] <= 1.0 + 1e-12
+    assert report["gap"] == report["exact_mean"] - report["estimate"]
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-0.1"])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xxqst import (
     AXIAL_NAMES,
@@ -264,7 +266,7 @@ def test_perfect_transfer_past_the_dense_limit_on_gaussian_mediums(n):
             for o_post, (p_post, site_n) in outcomes.items():
                 if p_post < PROB_FLOOR:
                     continue
-                branch = _finish_branch(config, site_n / p_post, o_pre, o_post, p_post,
+                branch = _finish_branch(config, site_n, p_post, o_pre, o_post, p_post,
                                         REVIVAL_TIME, True)
                 assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
                 kept += 1
@@ -274,14 +276,11 @@ def test_perfect_transfer_past_the_dense_limit_on_gaussian_mediums(n):
 @pytest.mark.parametrize("n, eta, t", [(200, 0.7, 55.0), (201, 0.6, 61.0)])
 def test_axial_average_on_long_boundary_chains_is_medium_independent(n, eta, t):
     # at beta = 0.05 nearly every medium pair has |delta| << 1; for any
-    # medium the axial average of the channel is 1/2 + tr T / 6 with
-    # tr T = 3 alpha_N^2 + (-1)^N u_11 u_NN, u = e^{-iht}
+    # medium the axial average is the coefficient engine's closed form
     from xxqst.protocol import PROB_FLOOR, _finish_branch, _gaussian_outcomes, _parse_medium
 
     profile = boundary_profile(n, eta)
-    prop = Propagator(profile.rates)
-    u_11, u_nn = prop.entries(t, 0, 0), prop.entries(t, -1, -1)
-    expected = 0.5 + prop.end_weights(t) / 2 + (-1) ** n * (u_11 * u_nn).real / 6
+    expected = Propagator(profile.rates).average_fidelity(t)
     mediums = [("thermal:0.05", "subchain"), ("all-zero", "subchain"),
                ("maximally-mixed", "subchain"), ("thermal:0.3", "fullchain")]
     for medium, variant in mediums:
@@ -294,7 +293,7 @@ def test_axial_average_on_long_boundary_chains_is_medium_independent(n, eta, t):
                 for o_post, (p_post, site_n) in outcomes.items():
                     if p_post < PROB_FLOOR:
                         continue
-                    branch = _finish_branch(config, site_n / p_post, o_pre, o_post, p_post,
+                    branch = _finish_branch(config, site_n, p_post, o_pre, o_post, p_post,
                                             t, True)
                     # the default end state |0> gives p_pre = 1/2 for either outcome
                     total += 0.5 * p_post * branch.fidelity_out
@@ -417,13 +416,44 @@ def test_finish_branch_bounds_its_cleanup():
 
     config = ProtocolConfig(perfect_profile(3), axial_state("+x"))
     plus_x = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    result = _finish_branch(config, plus_x, 1, 1, 0.25, REVIVAL_TIME, False)
+    result = _finish_branch(config, plus_x, 1.0, 1, 1, 0.25, REVIVAL_TIME, False)
     assert result.fidelity_out == pytest.approx(1.0, abs=1e-12)
     off_hermitian = plus_x + np.array([[0.0, 1e-9j], [0.0, 0.0]])
     off_trace = plus_x * (1.0 + 1e-9)
     for corrupted in (off_hermitian, off_trace):
         with pytest.raises(InternalConsistencyError):
-            _finish_branch(config, corrupted, 1, 1, 0.25, REVIVAL_TIME, True)
+            _finish_branch(config, corrupted, 1.0, 1, 1, 0.25, REVIVAL_TIME, True)
+    # normalizing a branch of probability p multiplies its roundoff by 1/p,
+    # and the bound follows: 5e-13 / p below p = 1/2
+    p = 1e-6
+    for corrupted in (off_hermitian, off_trace):
+        result = _finish_branch(config, p * corrupted, p, 1, 1, p, REVIVAL_TIME, False)
+        assert result.fidelity_out == pytest.approx(1.0, abs=1e-8)
+        with pytest.raises(InternalConsistencyError):
+            _finish_branch(config, 1e-2 * corrupted, 1e-2, 1, 1, 1e-2, REVIVAL_TIME, False)
+    # a pure output whose smaller eigenvalue fell to -1e-9: inside the bound
+    # its Bloch vector is scaled back onto the sphere, past it the branch raises
+    past_sphere = plus_x + 1e-9 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    result = _finish_branch(config, p * past_sphere, p, 1, 1, p, REVIVAL_TIME, False)
+    assert np.linalg.eigvalsh(result.output_state.matrix)[0] > -1e-15
+    assert result.fidelity_out == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(InternalConsistencyError):
+        _finish_branch(config, past_sphere, 1.0, 1, 1, 0.25, REVIVAL_TIME, False)
+
+
+def test_unlikely_branches_keep_their_roundoff_within_the_scaled_bound():
+    # at t = 6.1e-5 the branches with o_post = -1 have probability 2.1e-9,
+    # and the normalized matrix of one of them reads a smaller eigenvalue of
+    # -3.3e-9: a fixed bound refused it (`xxqst transfer` exited 2)
+    rng = np.random.default_rng(0)
+    profile = CouplingProfile(3, tuple(rng.uniform(0.3, 1.5, 2)))
+    config = ProtocolConfig(profile, axial_state("+x"), medium="random-pure",
+                            evolution_time=6.103515625e-05, seed=0)
+    branches = branch_map(run_protocol_branches(config))
+    assert sum(b.probability for b in branches.values()) == pytest.approx(1.0, abs=1e-12)
+    assert branches[(1, -1)].probability < 1e-8
+    # the output of that branch is |+x>, up to the branch's roundoff
+    assert branches[(1, -1)].fidelity_out == pytest.approx(1.0, abs=1e-6)
 
 
 def test_single_qubit_states_are_never_diagonalized(monkeypatch):
@@ -601,27 +631,29 @@ def test_one_sided_end_state_prunes_branches():
 # ---------------------------------------------------------------------------
 
 def test_average_fidelity_perfect_chain():
-    result = average_fidelity(perfect_profile(4), REVIVAL_TIME, n_input_samples=6,
-                              inputs="axial", seed=0)
+    result = average_fidelity(perfect_profile(4), REVIVAL_TIME, seed=0)
     assert result.mean == pytest.approx(1.0, abs=1e-10)
-    assert result.stderr < 1e-10
-    assert result.n_inputs == 6
-    assert len(result.values) == 6
+    assert len(result.values) == len(AXIAL_NAMES)
+    assert all(v == pytest.approx(1.0, abs=1e-10) for v in result.values)
 
 
-def test_average_fidelity_haar_sampling_deterministic():
-    a = average_fidelity(boundary_profile(5, 0.815), 1.9, n_input_samples=8, seed=21)
-    b = average_fidelity(boundary_profile(5, 0.815), 1.9, n_input_samples=8, seed=21)
+def test_average_fidelity_random_pure_medium_follows_its_seed():
+    # one medium drawn from the seed and shared by the six inputs; the
+    # branch sums move with it, their mean only within roundoff
+    profile = boundary_profile(5, 0.815)
+    a = average_fidelity(profile, 1.9, medium="random-pure", seed=21)
+    b = average_fidelity(profile, 1.9, medium="random-pure", seed=21)
+    c = average_fidelity(profile, 1.9, medium="random-pure", seed=22)
     assert a.values == b.values
-    c = average_fidelity(boundary_profile(5, 0.815), 1.9, n_input_samples=8, seed=22)
     assert a.values != c.values
+    assert a.mean == pytest.approx(c.mean, abs=1e-12)
 
 
-def test_average_fidelity_axial_matches_reference_baseline(rng):
-    # with no evolution the end site stays |0>, so transfer only succeeds
-    # for the |0> input; the six axis states average to 1/2 exactly
-    result = average_fidelity(perfect_profile(3), 0.0, n_input_samples=6,
-                              inputs="axial")
+def test_average_fidelity_axial_matches_reference_baseline():
+    # with no evolution u = I and alpha_N = 0, so the mean over the six axial
+    # inputs is 1/2 + (-1)^N / 6, not 1/2: at N = 3 the values are 1/2, 1/2,
+    # 0, 0, 1/2, 1/2 and the mean is 1/3
+    result = average_fidelity(perfect_profile(3), 0.0)
     zero_medium = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     expected = []
     for name in AXIAL_NAMES:
@@ -634,13 +666,58 @@ def test_average_fidelity_axial_matches_reference_baseline(rng):
             for _, _, p, rho in branches
         )
         expected.append(mean)
-    assert result.mean == pytest.approx(float(np.mean(expected)), abs=1e-10)
+    assert result.values == pytest.approx(expected, abs=1e-10)
+    assert result.mean == pytest.approx(1.0 / 3.0, abs=1e-12)
+    for n in range(2, 7):
+        closed = 0.5 + (-1) ** n / 6.0
+        # the Gaussian engine, the 2**n engine and the coefficient engine
+        for medium in ("all-zero", "random-pure"):
+            assert average_fidelity(perfect_profile(n), 0.0, medium, seed=n).mean == \
+                pytest.approx(closed, abs=1e-12)
+        assert Propagator(perfect_profile(n).rates).average_fidelity(0.0) == \
+            pytest.approx(closed, abs=1e-12)
 
 
 def test_average_fidelity_boundary_chain_value():
-    result = average_fidelity(boundary_profile(5, 0.815), 1.9, n_input_samples=6,
-                              inputs="axial")
+    result = average_fidelity(boundary_profile(5, 0.815), 1.9)
     assert result.mean == pytest.approx(0.9990981442823057, abs=1e-9)
+
+
+_MEDIUM_KINDS = ("all-zero", "maximally-mixed", "thermal-subchain", "thermal-fullchain",
+                 "random-pure", "state-vector", "density-matrix")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(2, 10), t=st.floats(-5.0, 5.0), kind=st.sampled_from(_MEDIUM_KINDS),
+       beta=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_average_fidelity_needs_only_the_end_correlations(n, t, kind, beta, seed):
+    # the paper's claim: summed over its branches the protocol is a qubit
+    # channel whose diagonal T_aa = F(+a) + F(-a) - 1 holds three entries of
+    # u(t) and nothing of the medium, so the mean fidelity over inputs is the
+    # coefficient engine's closed form on every medium kind
+    assume(n >= 3 or kind not in ("state-vector", "density-matrix"))
+    rng = np.random.default_rng(seed)
+    profile = CouplingProfile(n, tuple(rng.uniform(0.3, 1.5, n - 1)))
+    medium, variant = kind, "subchain"
+    if kind.startswith("thermal"):
+        medium, variant = f"thermal:{beta!r}", kind.split("-")[1]
+    elif kind == "state-vector":
+        medium = StateVector(n - 2, reference.random_pure(rng, n - 2))
+    elif kind == "density-matrix":
+        medium = DensityMatrix(n - 2, reference.random_mixed(rng, n - 2))
+    result = average_fidelity(profile, t, medium, variant, seed)
+    prop = Propagator(profile.rates)
+    assert abs(prop.average_fidelity(t) - result.mean) < 1e-12
+    weight = prop.end_weights(t)
+    diagonal = weight + (-1) ** n * (prop.entries(t, 0, 0) * prop.entries(t, -1, -1)).real
+    v = result.values
+    for got, want in zip((v[2] + v[3], v[4] + v[5], v[0] + v[1]), (diagonal, weight, weight)):
+        assert abs(got - 1.0 - want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_average_fidelity_is_one_on_the_perfect_chain_at_revival(n):
+    assert abs(Propagator(perfect_profile(n).rates).average_fidelity(REVIVAL_TIME) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

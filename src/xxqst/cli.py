@@ -14,9 +14,11 @@ search that did not converge (its JSON is still written), 2 usage errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import secrets
 import sys
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
@@ -160,13 +162,16 @@ def _cmd_transfer(args) -> int:
         seed=args.seed,
         thermal_variant=args.thermal_variant,
     )
+    if config.seed is None and (args.sample or config.draws_medium):
+        # a run that draws records the seed it drew from, so --seed repeats it
+        config = dataclasses.replace(config, seed=secrets.randbits(63))
     run_config = {
         "command": "transfer",
         "profile": json.loads(profile.to_json()),
         "t": config.effective_time,
         "input": args.input,
         "medium": args.medium,
-        "seed": args.seed,
+        "seed": config.seed,
         "sample": args.sample,
         "thermal_variant": args.thermal_variant,
     }
@@ -347,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="axial state name or 'theta,phi'")
     transfer.add_argument("--medium", default="all-zero",
                           help="zero | mixed | random | thermal:BETA")
-    transfer.add_argument("--seed", type=int, default=None)
+    transfer.add_argument("--seed", type=int, default=None,
+                          help="seed of the medium and outcome draws; a run that "
+                               "draws without one writes the seed it drew")
     transfer.add_argument("--sample", action="store_true",
                           help="single sampled run instead of all branches")
     transfer.add_argument("--thermal-variant", choices=("subchain", "fullchain"),

@@ -52,12 +52,20 @@ __all__ = [
 
 # Roundoff model of the imaginary residue of zeta o u: each phase w_k t
 # carries an error of about eps |w_k t| and V is orthogonal, so a correct
-# result is real to about eps (1 + max|w| |t|).  Measured residues reach 5.6
-# times that on the CLI's ~1000-site traces over [0, pi/4], 7.6 on random
-# 2..64-site chains over [-4, 4] and 0.09 at late revivals (t = 158 at
-# N = 1000); a broken phase convention leaves O(1).  64 keeps a margin of 8.
+# result is real to about eps (1 + max|w| |t|).  Measured on zeta o u[0, :]
+# and zeta_N u_1N, residues reach 2.63 times that on the perfect and
+# boundary:0.7 chains of N = 999..1001 over linspace(0, pi/4, 257), 4.78 on
+# random 2..64-site chains (rates 0.2 + U[0, 1), three per N) over
+# linspace(-4, 4, 97) and 0.25 on the perfect N = 1000 over
+# linspace(0, 201 pi/4, 65); a broken phase convention leaves O(1).  64
+# keeps a margin of 13.
 _RESIDUE_FACTOR = 64.0
 _EPS = float(np.finfo(float).eps)
+# A time array within this many eps max|t| of an arithmetic progression
+# takes its phase table as a coarse x fine product (_phase_table).  numpy's
+# linspace and t0 + dt * arange grids come within 2.6 of it (20,000 random
+# grids of 2 to 10^5 times)
+_GRID_SLACK = 8.0
 # Chains of at least this many sites whose rates read the same both ways are
 # solved in their two reflection sectors (_mirror_eigensystem); shorter ones
 # take one solve of size N, which is faster there.  Measured on a 2-vCPU box
@@ -169,13 +177,16 @@ class Propagator:
         take one real GEMM of V[rows] scaled by the stacked [cos; sin]
         tables against V[cols]^T, per batch row.
 
-        With a time axis (a time array or a batch axis), cos and sin run on
-        the first ceil(N/2) eigenvalues only: A has a zero diagonal, so its
-        spectrum comes in pairs w_{N-1-k} = -w_k, and the partner N-1-k
-        takes (cos, -sin); for odd N the middle eigenvalue is unpaired.
-        One entry folds its weights onto that half, more fill the full
-        tables from it.  A pair off by more than 64 eps max|w| in a batch
-        row raises ``InternalConsistencyError``."""
+        With a time axis (a time array or a batch axis), the phases come
+        from one complex table of exp(-i w t) over the times and the first
+        ceil(N/2) eigenvalues only (:func:`_phase_table`, which takes a
+        uniform grid as a coarse x fine product, about 2 sqrt(nt) cos and
+        sin per eigenvalue): A has a zero diagonal, so its spectrum comes in
+        pairs w_{N-1-k} = -w_k, and the partner N-1-k takes (cos, -sin); for
+        odd N the middle eigenvalue is unpaired.  One entry folds its
+        weights onto that half, more fill the full tables from it.  A pair
+        off by more than 64 eps max|w| in a batch row raises
+        ``InternalConsistencyError``."""
         t = np.asarray(times, dtype=float)
         if not (t.ndim == 0 and math.isfinite(t) or t.ndim == 1 and np.isfinite(t).all()):
             raise ValueError(f"times must be a finite scalar or 1-D array, got {times!r}")
@@ -201,38 +212,41 @@ class Propagator:
         # pairs = N // 2 eigenvalues k < pairs have the partner N-1-k
         n = self._w.shape[-1]
         half, pairs = (n + 1) // 2, n // 2
-        phase = self._w[..., None, :half] * -t.reshape(-1, 1)
+        table = _phase_table(self._w[..., :half], t.reshape(-1))
         shape = batch + t.shape + left.shape[len(batch):-1] + right.shape[len(batch):-1]
         if one_row and one_col:
-            # Re = cos . (W_k + W_{N-1-k}), Im = sin . (W_k - W_{N-1-k})
+            # Re = cos . (W_k + W_{N-1-k}), Im = sin . (W_k - W_{N-1-k}): the
+            # table read as (cos, sin) pairs against the two folded weights,
+            # side by side, which read back as complex
             weights = left * right
             partners = weights[..., ::-1][..., :pairs]
-            even = weights[..., :half].copy()
-            odd = even.copy()
-            even[..., :pairs] += partners
-            odd[..., :pairs] -= partners
-            return _complex((np.cos(phase) @ even[..., None]).reshape(shape),
-                            (np.sin(phase) @ odd[..., None]).reshape(shape))
+            folded = np.zeros(batch + (half, 2, 2))
+            folded[..., 0, 0] = folded[..., 1, 1] = weights[..., :half]
+            folded[..., :pairs, 0, 0] += partners
+            folded[..., :pairs, 1, 1] -= partners
+            values = table.view(float) @ folded.reshape(batch + (2 * half, 2))
+            return values.view(complex).reshape(shape)
         if one_row:
             left = left[..., None, :]
         if one_col:
             right = right[..., None, :]
         # every (time, row) pair of the cos table, then of the sin table,
         # against the columns
-        nt = phase.shape[-2]
-        table = np.empty(batch + (2 * nt, n))
-        cos, sin = table[..., :nt, :], table[..., nt:, :]
-        np.cos(phase, out=cos[..., :half])
-        np.sin(phase, out=sin[..., :half])
-        del phase
+        nt = table.shape[-2]
+        full = np.empty(batch + (2 * nt, n))
+        cos, sin = full[..., :nt, :], full[..., nt:, :]
+        cos[..., :half], sin[..., :half] = table.real, table.imag
+        del table
         cos[..., half:] = cos[..., :pairs][..., ::-1]
         np.negative(sin[..., :pairs][..., ::-1], out=sin[..., half:])
-        scaled = table[..., :, None, :] * left[..., None, :, :]
-        del table, cos, sin
+        scaled = full[..., :, None, :] * left[..., None, :, :]
+        del full, cos, sin
         product = scaled.reshape(batch + (-1, scaled.shape[-1])) @ right.swapaxes(-1, -2)
         del scaled
         split = product.shape[-2] // 2
-        return _complex(product[..., :split, :].reshape(shape), product[..., split:, :].reshape(shape))
+        values = np.empty(shape, dtype=complex)
+        values.real, values.imag = product[..., :split, :].reshape(shape), product[..., split:, :].reshape(shape)
+        return values
 
     def _check_pairs(self):
         """The pairing w_{N-1-k} = -w_k that the time-axis branch of
@@ -323,13 +337,39 @@ class Propagator:
         return (v * ((1.0 - delta) / 2.0)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
-def _complex(real, imag):
-    """real + i imag, a Python complex for scalars."""
-    if not real.ndim:
-        return complex(real, imag)
-    values = np.empty(real.shape, dtype=complex)
-    values.real, values.imag = real, imag
-    return values
+def _phase_table(w: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i w t) for a 1-D array of times and the eigenvalues w along the
+    last axis: complex, of shape w.shape[:-1] + (len(times), w.shape[-1]).
+
+    With K = ceil(sqrt(nt)), time aK + j is read as the coarse time t[aK]
+    plus the fine offset j dt, dt = (t[-1] - t[0]) / (nt - 1), so the table
+    is the product of a coarse table at every K-th time and a fine table of
+    the K offsets: 2 sqrt(nt) cos and sin per eigenvalue in place of nt,
+    and one complex multiply per entry.  That holds when every time lies
+    within _GRID_SLACK eps max|t| of its split, read from the values alone;
+    each phase is then off by at most that times |w| on top of its own
+    roundoff.  Any other array takes K = 1, one fine offset 0, whose phase
+    is exactly 1: one cos and one sin per entry, as evaluated directly."""
+    nt = len(times)
+    k = math.isqrt(nt - 1) + 1 if nt > 1 else 1
+    offsets = np.arange(k) * ((times[-1] - times[0]) / (nt - 1)) if k > 1 else np.zeros(1)
+    gap = times - np.repeat(times[::k], k)[:nt] - offsets[np.arange(nt) % k]
+    # a NaN gap (a span that overflows) is no grid
+    if not np.abs(gap).max(initial=0.0) <= _GRID_SLACK * _EPS * np.abs(times).max(initial=0.0):
+        k, offsets = 1, np.zeros(1)
+    coarse, fine = (_phases(w, part) for part in (times[::k], offsets))
+    product = coarse[..., :, None, :] * fine[..., None, :, :]
+    return product.reshape(w.shape[:-1] + (-1, w.shape[-1]))[..., :nt, :]
+
+
+def _phases(w: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i w t) = cos(-w t) + i sin(-w t), entry by entry, shaped as
+    :func:`_phase_table`'s result."""
+    phase = w[..., None, :] * -times[:, None]
+    table = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
+    return table
 
 
 def _chain_rates(rates) -> np.ndarray:

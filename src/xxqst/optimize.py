@@ -42,11 +42,12 @@ _MAX_ROUNDS = 20
 # an alpha_N^2 below this is roundoff, not transfer
 _ESTIMATE_FLOOR = 1e-12
 # float64 elements (8 MiB) that one chunk of sweep rows may hold at once:
-# its (B, n, n) eigenvector stack and two (B, nt, n) phase tables.  The
-# phase, cos and sin tables cover only the ceil(n/2) eigenvalues of one sign
-# (Propagator.entries), so the count over-states them.  At the default grid
-# that is every row in one chunk up to n = 45 and one row per chunk from
-# n = 635; a lone row may exceed it
+# its (B, n, n) eigenvector stack and, counted as two (B, nt, n) tables,
+# its phase tables (Propagator.entries): one complex (B, nt, ceil(n/2))
+# table, about B nt n floats, plus the coarse and fine tables it is the
+# product of, complex (B, ceil(sqrt(nt)), ceil(n/2)) each, so the count
+# over-states them.  At the default grid that is every row in one chunk up
+# to n = 45 and one row per chunk from n = 635; a lone row may exceed it
 _SWEEP_BUDGET = 2**20
 
 
@@ -142,8 +143,8 @@ def sweep(
     ``Propagator`` over the chunk's rows of coupling rates
     2 [eta, 1, ..., 1, eta] (one array, no profile per row), and one
     ``end_weights`` call on every time.  A chunk holds as many rows as keep
-    its (B, n, n) eigenvector stack and two (B, nt, n) phase tables within
-    _SWEEP_BUDGET elements, and at least one.
+    its (B, n, n) eigenvector stack and its phase tables, counted as two
+    (B, nt, n) tables, within _SWEEP_BUDGET elements, and at least one.
     """
     if isinstance(resolution, int):
         res_eta = res_t = resolution

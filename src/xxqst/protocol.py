@@ -175,6 +175,12 @@ class ProtocolConfig:
     def effective_time(self) -> float:
         return REVIVAL_TIME if self.evolution_time is None else float(self.evolution_time)
 
+    @property
+    def draws_medium(self) -> bool:
+        """Whether a run draws its medium from ``seed``: a random-pure medium
+        on at least three sites (two sites have no interior to draw)."""
+        return _parse_medium(self.medium)[0] == "random" and self.profile.n_sites > 2
+
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -290,11 +296,11 @@ def _prepare(config: ProtocolConfig, rng: np.random.Generator | None = None):
     kind, beta, explicit = _parse_medium(config.medium)
     if kind in _GAUSSIAN:
         return p_pre, _gaussian_outcomes(config, kind, beta).__getitem__
-    if n == 2:
-        med_cols, med_w = np.ones((1, 1), dtype=complex), np.ones(1)
-    elif kind == "random":
+    if config.draws_medium:
         rng = np.random.default_rng(config.seed) if rng is None else rng
         med_cols, med_w = _factor(_random_pure(rng, n - 2))
+    elif n == 2:
+        med_cols, med_w = np.ones((1, 1), dtype=complex), np.ones(1)
     else:
         med_cols, med_w = _factor(explicit)
     in_cols, in_w = _factor(config.input_state)

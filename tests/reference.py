@@ -5,6 +5,7 @@ scipy's dense matrix exponential, without importing the package, so that
 agreement between the two is evidence and not circularity.  Site 1 is the
 leftmost tensor factor (most significant bit).
 """
+import math
 from itertools import combinations
 
 import numpy as np
@@ -97,6 +98,30 @@ def staggered_generator(rates):
         m[i + 1, i] = signed
         m[i, i + 1] = -signed
     return m
+
+
+def perfect_chain_coefficients(n, times, digits=30):
+    """alpha_k(t), k = 1..n, of X_1(t) on the n-site perfect chain, one row
+    per time: the closed form (-1)^floor((k-1)/2) sqrt(C(n-1, k-1))
+    cos^(n-k)(2t) sin^(k-1)(2t), evaluated in mpmath at `digits` decimal
+    digits at each double t itself, and rounded to doubles once, at the end."""
+    # imported here: benchmarks/workloads.py imports this module, and
+    # mpmath would add about 4 MB to the peak memory the benchmark reports
+    import mpmath
+
+    rows = []
+    with mpmath.workdps(digits):
+        weights = [(-1) ** ((k - 1) // 2) * mpmath.sqrt(math.comb(n - 1, k - 1))
+                   for k in range(1, n + 1)]
+        for t in times:
+            c, s = mpmath.cos(2 * mpmath.mpf(t)), mpmath.sin(2 * mpmath.mpf(t))
+            cos_powers, sin_powers = [mpmath.mpf(1)], [mpmath.mpf(1)]
+            for _ in range(n - 1):
+                cos_powers.append(cos_powers[-1] * c)
+                sin_powers.append(sin_powers[-1] * s)
+            rows.append([float(weight * cos_powers[n - k] * sin_powers[k - 1])
+                         for k, weight in enumerate(weights, start=1)])
+    return np.array(rows).reshape(len(rows), n)
 
 
 def reduce_to_last_site(rho, n):

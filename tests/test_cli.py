@@ -205,6 +205,23 @@ def test_transfer_sampled_run(capsys):
     assert out2 == out
 
 
+def test_transfer_records_the_seed_it_drew(capsys):
+    # a run that draws with no --seed writes a fresh seed, which repeats it;
+    # a run that draws nothing (all-zero branches, or random-pure on two
+    # sites, which have no interior) keeps "seed": null
+    for argv in (("--n", "3", "--medium", "random-pure"), ("--n", "4", "--sample")):
+        code, out, _ = run_cli(capsys, "transfer", *argv, "--no-timestamp")
+        assert code == 0
+        seed = json.loads(out)["config"]["seed"]
+        assert isinstance(seed, int) and 0 <= seed < 2**63
+        code, again, _ = run_cli(capsys, "transfer", *argv, "--seed", str(seed), "--no-timestamp")
+        assert code == 0 and again == out
+    for argv in (("--n", "3"), ("--n", "2", "--medium", "random-pure")):
+        code, out, _ = run_cli(capsys, "transfer", *argv, "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] is None
+
+
 def test_transfer_bad_medium(capsys):
     code, _, err = run_cli(
         capsys, "transfer", "--n", "4", "--medium", "warm",

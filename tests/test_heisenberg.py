@@ -25,12 +25,15 @@ from xxqst import (
 from xxqst.heisenberg import (
     _MIRROR_SITES,
     _pair_factors,
+    _phase_table,
     _product_table,
     _sum_products,
     gaussian_end_expectations,
 )
 
 import reference
+
+_EPS = np.finfo(float).eps
 
 
 def test_time_zero_is_unit_vector():
@@ -386,6 +389,75 @@ def test_unpaired_spectrum_raises_on_the_folded_branch(rng, monkeypatch, n):
                 prop.end_weights(0.7)
 
 
+_TIME = st.floats(-200.0, 200.0)
+
+
+@st.composite
+def _time_arrays(draw, longest=200):
+    """(kind, times): a linspace grid, ascending, descending or constant, of
+    0 to 3 or more times, as built ("grid"), with one time 1 ulp or 1e-9 off
+    ("ulp", "1e-9"), or an array that need be no grid ("any")."""
+    nt = draw(st.one_of(st.integers(0, 3), st.integers(4, longest)))
+    kind = draw(st.sampled_from(("grid", "ulp", "1e-9", "any")))
+    if kind == "any":
+        return kind, np.array(draw(st.lists(_TIME, min_size=nt, max_size=nt)), dtype=float)
+    lo, hi = sorted((draw(_TIME), draw(_TIME)))
+    start, stop = draw(st.sampled_from(((lo, hi), (hi, lo), (lo, lo))))
+    times = np.linspace(start, stop, nt)
+    if nt and kind != "grid":
+        i = draw(st.integers(0, nt - 1))
+        times[i] = np.nextafter(times[i], math.inf) if kind == "ulp" else times[i] + 1e-9
+    return kind, times
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_time_arrays(), st.integers(1, 8).flatmap(
+    lambda m: st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m)), st.booleans())
+def test_phase_table_matches_direct_cos_and_sin(case, w, stacked):
+    # exp(-i w t) against one cos and one sin per entry.  A grid's table is
+    # a coarse x fine product whose times lie within 8 eps max|t| of the
+    # given ones: measured at most 2.75 eps (1 + |w| max|t|) off over
+    # 20,000 random arrays of these kinds.  An array that is no grid (one
+    # time 1e-9 off, at three times or more) takes one cos and one sin per
+    # entry, bit for bit
+    kind, times = case
+    w = np.array(w)
+    if stacked:
+        w = np.stack([w, -0.5 * w])
+    table = _phase_table(w, times)
+    assert table.shape == w.shape[:-1] + (len(times), w.shape[-1])
+    phase = w[..., None, :] * -times[:, None]
+    direct = np.cos(phase) + 1j * np.sin(phase)
+    if kind == "1e-9" and len(times) >= 3:
+        assert np.array_equal(table, direct)
+    span = np.abs(times).max(initial=0.0)
+    bound = 4 * _EPS * (1 + np.abs(w)[..., None, :] * span)
+    assert np.all(np.abs(table - direct) <= bound)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_time_arrays(longest=40), st.integers(2, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_grid_results_match_per_time_calls(case, n, seed, stacked):
+    # end_weights and coefficients_many on a time array against one call
+    # per time, on one chain (the scalar branch) and on a stack (one time
+    # each), within the residue model at the array's largest time,
+    # 64 eps (1 + max|w| max|t|); an empty array keeps its shapes
+    _, times = case
+    rates = np.random.default_rng(seed).random((2, n - 1)) + 0.2
+    prop = Propagator(rates if stacked else rates[0])
+    w_max = np.abs(prop.eigenvalues).max(axis=-1)
+    bound = 64 * _EPS * (1 + w_max * np.abs(times).max(initial=0.0))
+    batch = (2,) if stacked else ()
+    weights, many = prop.end_weights(times), prop.coefficients_many(times)
+    assert weights.shape == batch + times.shape
+    assert many.shape == batch + times.shape + (n,)
+    if len(times):
+        each = np.stack([prop.end_weights(t) for t in times], axis=-1)
+        assert np.all(np.abs(weights - each) <= 2 * np.asarray(bound)[..., None])
+        each = np.stack([prop.coefficients_many(t) for t in times], axis=-2)
+        assert np.all(np.abs(many - each) <= np.asarray(bound)[..., None, None])
+
+
 def _perfect_chain_coefficients(n, t):
     """alpha_k(t) = (-1)^floor((k-1)/2) sqrt(C(N-1, k-1)) cos^(N-k)(2t)
     sin^(k-1)(2t), k = 1..N, on the perfect chain; the binomial through
@@ -416,13 +488,29 @@ def test_perfect_chain_matches_its_closed_form():
             assert np.max(np.abs(row - expected)) <= bound
             assert np.max(np.abs(prop.coefficients(t) - expected)) <= bound
             assert abs(weight - expected[-1] ** 2) <= 2 * bound
+    # the CLI's uniform grids up to the first revival and a late one, whose
+    # phase tables are coarse x fine products, on a sample of grid times:
+    # both ends, each side of the first coarse step and the middle.  There
+    # the double-precision closed form above is off by up to 1.4 times the
+    # bound (N = 1000, t = 0.0061), so the reference is the closed form in
+    # mpmath; the engine measured at most 0.064 times the bound
+    for n in (999, 1000, 1001):
+        prop = Propagator(perfect_profile(n).rates)
+        w_max = np.abs(prop.eigenvalues).max()
+        for t_max, steps in ((math.pi / 4, 257), (201 * math.pi / 4, 65)):
+            grid = np.linspace(0.0, t_max, steps)
+            k = math.isqrt(steps - 1) + 1
+            sample = sorted({0, 1, 2, k - 1, k, k + 1, steps // 2, steps - 2, steps - 1})
+            expected = reference.perfect_chain_coefficients(n, grid[sample])
+            bound = 64 * eps * (1 + w_max * grid[sample])
+            assert np.all(np.abs(prop.coefficients_many(grid)[sample] - expected) <= bound[:, None])
+            assert np.all(np.abs(prop.end_weights(grid)[sample] - expected[:, -1] ** 2) <= 2 * bound)
 
 
 # ---------------------------------------------------------------------------
 # Mirror-symmetric chains, solved in their two reflection sectors
 # ---------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
 _MIRROR_SIZES = (_MIRROR_SITES, _MIRROR_SITES + 1, 64, 999, 1000, 1001)
 
 

@@ -10,7 +10,8 @@ Layers, from cheap to exact:
   on Gaussian mediums (Wick's theorem in an exterior algebra).
 - oracle: full 2**n reference engine (states, measurements, fidelity).
 - protocol: the initialization-free transfer protocol, exact on small
-  chains, plus its operator-identity checks.
+  chains and, on Gaussian mediums, on long ones, plus its
+  operator-identity checks.
 - optimize: boundary-coupling search with exact cross-validation.
 - cli: `xxqst` command wiring it all together.
 """

@@ -14,6 +14,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import check_memory
+
 __all__ = [
     "CouplingProfile",
     "perfect_profile",
@@ -126,8 +128,12 @@ def sector_blocks(profile: CouplingProfile) -> Iterator[tuple[np.ndarray, np.nda
 
 
 def dense_hamiltonian(profile: CouplingProfile) -> np.ndarray:
-    """Dense 2**n x 2**n Hamiltonian scattered from :func:`sector_blocks`; for small n."""
-    dim = 2**profile.n_sites
+    """Dense 2**n x 2**n Hamiltonian scattered from :func:`sector_blocks`; for
+    small n, within the memory budget (up to 13 sites)."""
+    n = profile.n_sites
+    # the complex matrix, and a quarter more for the sector blocks scattered into it
+    check_memory(20 * 4**n, f"a dense Hamiltonian on {n} sites")
+    dim = 2**n
     h = np.zeros((dim, dim), dtype=complex)
     for idx, block in sector_blocks(profile):
         h[np.ix_(idx, idx)] = block

@@ -56,6 +56,18 @@ def parse_time(text: str) -> float:
     return float(text)
 
 
+def _oracle_cap(text: str) -> int:
+    """An --oracle-cap value, by the rule of :func:`xxqst.oracle_cap`: an
+    integer of at least 2."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if cap < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {cap}")
+    return cap
+
+
 def _parse_profile(args) -> CouplingProfile:
     spec = args.profile
     if spec in ("perfect", "boundary") or spec.startswith("boundary:"):
@@ -327,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
-        "--oracle-cap", type=int, default=None,
+        "--oracle-cap", type=_oracle_cap, default=None,
         help="override the exact-engine size cap for this run",
     )
     commands = parser.add_subparsers(dest="command", required=True)

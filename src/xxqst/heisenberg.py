@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg.lapack import dstevd
 
 from .chain import CouplingProfile
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, check_memory
 
 __all__ = [
     "CoefficientVector",
@@ -148,6 +148,10 @@ class Propagator:
     def __init__(self, rates):
         self.rates = rates = _chain_rates(rates)
         n = rates.shape[-1] + 1
+        # one solve's eigenvectors and dstevd's workspace, N**2 doubles each,
+        # and for a stack the (B, N, N) eigenvectors they are copied into
+        stack = len(rates) if rates.ndim == 2 else 0
+        check_memory(8 * n * (n + 16) * (2 + stack), f"the coefficient engine on {n} sites")
         if rates.ndim == 1:
             self._w, self._v = _eigensystem(rates)
             self._w_max = float(np.abs(self._w).max())
@@ -211,6 +215,17 @@ class Propagator:
         # a time axis after the batch axis, of length 1 for a scalar time;
         # pairs = N // 2 eigenvalues k < pairs have the partner N-1-k
         n = self._w.shape[-1]
+        # peak bytes per batch row and time, for r rows and c columns: the
+        # phase table and the coarse x fine product it comes from (16 N);
+        # past one entry the [cos; sin] tables next to their products with
+        # V[rows] (16 (N + r N)), those next to the GEMM's result (16 r (N +
+        # c)), and that next to its complex copy (32 r c), all within 16 (r N
+        # + max(N, r c)); an eighth more covers the smaller temporaries
+        r = 1 if one_row else left.shape[-2]
+        c = 1 if one_col else right.shape[-2]
+        per_time = n if one_row and one_col else r * n + max(n, r * c)
+        check_memory(18 * math.prod(batch) * t.size * per_time,
+                     f"u(t) entries on {n} sites at {t.size} times")
         half, pairs = (n + 1) // 2, n // 2
         table = _phase_table(self._w[..., :half], t.reshape(-1))
         shape = batch + t.shape + left.shape[len(batch):-1] + right.shape[len(batch):-1]
@@ -333,6 +348,9 @@ class Propagator:
         """<a_i^dag a_j> in the Gibbs state exp(-beta H)/Z of this chain, a_j
         the Jordan-Wigner fermion of site j: V diag(f) V^T with the Fermi
         occupations f = (1 - delta) / 2 of :meth:`thermal_pairs`."""
+        n = self._w.shape[-1]
+        # the scaled eigenvectors and their product, beside V
+        check_memory(16 * self._w.size * (n + 16), f"a thermal correlation matrix on {n} sites")
         delta, v = self.thermal_pairs(beta)
         return (v * ((1.0 - delta) / 2.0)[..., None, :]) @ v.swapaxes(-1, -2)
 
@@ -773,6 +791,13 @@ def coefficient_trace(
     t_max = float(t_max)
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    n = profile.n_sites
+    # the propagator's solve (as Propagator estimates it), then beside its
+    # eigenvectors the coefficient rows: the entries, their zeta-scaled
+    # copy, the residue and the real copy returned, about 41 bytes per (time,
+    # site), counted as 48
+    check_memory(16 * n * (n + 16) + 48 * steps * n,
+                 f"a coefficient trace on {n} sites at {steps} times")
     times = np.linspace(0.0, t_max, steps)
     values = Propagator(profile.rates)._strings(times, origin)
     return CoefficientTrace(times, values, origin)

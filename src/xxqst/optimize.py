@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import CouplingProfile
+from .errors import check_memory
 from .heisenberg import Propagator
 
 __all__ = [
@@ -47,7 +48,9 @@ _ESTIMATE_FLOOR = 1e-12
 # table, about B nt n floats, plus the coarse and fine tables it is the
 # product of, complex (B, ceil(sqrt(nt)), ceil(n/2)) each, so the count
 # over-states them.  At the default grid that is every row in one chunk up
-# to n = 45 and one row per chunk from n = 635; a lone row may exceed it
+# to n = 45 and one row per chunk from n = 635; a lone row may exceed it.
+# It sets the chunk size only and refuses nothing: the memory budget
+# (errors.check_memory) does
 _SWEEP_BUDGET = 2**20
 
 
@@ -152,6 +155,12 @@ def sweep(
         res_eta, res_t = int(resolution[0]), int(resolution[1])
     if res_eta < 8 or res_t < 8:
         raise ValueError(f"resolution must be >= 8 per axis, got {resolution!r}")
+    # a chunk's elements as _SWEEP_BUDGET counts them, within it or one row
+    # past it, one solve of the chunk's Propagator (eigenvectors and
+    # workspace), and the rates and surface of every row
+    check_memory(8 * (max(_SWEEP_BUDGET, n * (n + 2 * res_t)) + 2 * n * (n + 16)
+                      + res_eta * (n + res_t)),
+                 f"a sweep on {n} sites over {res_eta} x {res_t} points")
     eta_values = _axis(eta_range, res_eta)
     if eta_values[0] <= 0:
         raise ValueError("eta range must be positive")
@@ -308,17 +317,18 @@ def refine(
         _check_positive(name, value)
     eta, t = float(start_point[0]), float(start_point[1])
     _check_positive("start eta", eta)
-    # one propagator per eta: the start's serves its estimate and first score
-    propagators = {eta: Propagator(_boundary_rates(n, eta))}
-    start = (eta, t, propagators[eta].end_weights(t))
+    # the start's propagator serves both its estimate and its score; every
+    # other eta's is built for its score and dropped after it, so at most
+    # two eigensystems are held at once
+    start_chain = Propagator(_boundary_rates(n, eta))
+    start = (eta, t, start_chain.end_weights(t))
     best_times = {}
 
     def score(e: float) -> float:
-        if e not in propagators:
-            propagators[e] = Propagator(_boundary_rates(n, e))
+        chain = start_chain if e == start[0] else Propagator(_boundary_rates(n, e))
         # warm start: the best time of the nearest eta already scored
         warm = best_times[min(best_times, key=lambda s: abs(s - e))].time if best_times else t
-        best_times[e] = _time_search(propagators[e], warm, tolerance, t_window)
+        best_times[e] = _time_search(chain, warm, tolerance, t_window)
         return best_times[e].estimate
 
     path, converged = _climb(score, eta, eta_window, tolerance / 4.0, floor=tolerance)

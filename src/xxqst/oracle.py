@@ -7,11 +7,13 @@ Site 1 occupies the most significant bit of a basis index, so |100...0>
 means an excitation on site 1.
 
 The admissible chain length is bounded by :func:`oracle_cap` (default 14,
-override with the ``XXQST_ORACLE_CAP`` environment variable).  Dense
-work (density-matrix evolution, protocol runs and the 2**(N-2) square
-thermal mediums) also stops at ``DENSE_SITE_LIMIT`` = 12 sites, where a
-2**n x 2**n density matrix holds 256 MB; :func:`check_size` applies both
-bounds.  Dense operator conjugation stops at 8 sites.  The chain
+override with the ``XXQST_ORACLE_CAP`` environment variable), which
+:func:`check_size` applies; it bounds the sector eigensystems.  The dense
+arrays (density-matrix evolution and the 2**(N-2) square thermal mediums)
+are bounded by the package's memory budget instead
+(:func:`xxqst.errors.check_memory`), which stops both at 12 sites, where
+a 2**n x 2**n density matrix holds 256 MiB.  Dense operator conjugation
+stops at 8 sites.  The chain
 conserves total Z, so time evolution (:func:`evolve_columns`) and both
 thermal mediums diagonalize the magnetization-sector blocks of
 :func:`xxqst.chain.sector_blocks` one at a time and never form the
@@ -31,14 +33,15 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .chain import CouplingProfile, sector_blocks
-from .errors import InternalConsistencyError, ResourceLimitError, ZeroProbabilityError
+from .errors import (
+    InternalConsistencyError, ResourceLimitError, ZeroProbabilityError, check_memory,
+)
 
 __all__ = [
     "StateVector",
     "DensityMatrix",
     "PauliString",
     "PROB_FLOOR",
-    "DENSE_SITE_LIMIT",
     "oracle_cap",
     "check_size",
     "evolve",
@@ -55,8 +58,6 @@ __all__ = [
 
 _ENV_CAP = "XXQST_ORACLE_CAP"
 _DEFAULT_CAP = 14
-# dense arrays: a 2**n x 2**n density matrix or the protocol's 2**n x 2**(n-1) factor
-DENSE_SITE_LIMIT = 12
 # outcomes and norms below this count as zero, here and in the protocol
 PROB_FLOOR = 1e-14
 
@@ -94,19 +95,13 @@ def oracle_cap() -> int:
     return cap
 
 
-def check_size(n: int, dense: bool = False) -> None:
-    """Raise ResourceLimitError for a chain of n sites above the cap, or,
-    for dense work, above DENSE_SITE_LIMIT."""
+def check_size(n: int) -> None:
+    """Raise ResourceLimitError for a chain of n sites above the cap."""
     cap = oracle_cap()
     if n > cap:
         raise ResourceLimitError(
             f"chain of {n} sites exceeds the exact-engine cap of {cap} "
             f"(raise {_ENV_CAP} to override)"
-        )
-    if dense and n > DENSE_SITE_LIMIT:
-        raise ResourceLimitError(
-            f"dense work (density matrices, protocol runs) is limited to "
-            f"{DENSE_SITE_LIMIT} sites, got {n}"
         )
 
 
@@ -350,16 +345,20 @@ def evolve(state, profile: CouplingProfile, time: float):
     """Schroedinger evolution e^{-iHt} of a state under the chain Hamiltonian.
 
     Accepts a StateVector or a DensityMatrix and returns the same type.
-    Both go through :func:`evolve_columns`; density matrices are limited to
-    DENSE_SITE_LIMIT sites.
+    Both go through :func:`evolve_columns`; a density matrix must also fit
+    the memory budget, which it does up to 12 sites.
     """
     if not isinstance(state, (StateVector, DensityMatrix)):
         raise TypeError(f"cannot evolve {type(state).__name__}")
-    if state.n_sites != profile.n_sites:
+    n = profile.n_sites
+    if state.n_sites != n:
         raise ValueError("state and profile disagree on the chain length")
     if isinstance(state, StateVector):
-        return StateVector(state.n_sites, evolve_columns(state.amplitudes, profile, time))
-    check_size(profile.n_sites, dense=True)
+        return StateVector(n, evolve_columns(state.amplitudes, profile, time))
+    # four complex 2**n x 2**n arrays at the peak: the evolved matrix,
+    # DensityMatrix's copy of it and the two temporaries of its Hermiticity
+    # check; a fifth covers the sector blocks and eigensystems
+    check_memory(80 * 4**n, f"density-matrix evolution on {n} sites")
     return DensityMatrix(state.n_sites, _sandwich(state.matrix, profile, time))
 
 
@@ -598,8 +597,8 @@ def thermal_medium(profile: CouplingProfile, beta: float,
     whole chain to the interior.  Both are built from the magnetization-
     sector eigensystems of their chain, which must fit the size cap: N - 2
     sites for "subchain", N for "fullchain".  The N - 2 site medium must
-    also fit DENSE_SITE_LIMIT.  beta = 0 gives the maximally mixed medium
-    exactly.
+    also fit the memory budget, which it does up to 12 sites.  beta = 0
+    gives the maximally mixed medium exactly.
     """
     n = profile.n_sites
     if n < 3:
@@ -612,9 +611,12 @@ def thermal_medium(profile: CouplingProfile, beta: float,
     n_med = n - 2
     # number of sites traced out at each end of the chain the state is built on
     traced = int(variant == "fullchain")
-    # the medium itself is a dense 2**(N-2) x 2**(N-2) matrix
-    check_size(n_med, dense=True)
     check_size(n_med + 2 * traced)
+    # the Gibbs state as floats and its normalized copy, then DensityMatrix's
+    # complex copy and the two complex temporaries of its Hermiticity check:
+    # 64 bytes per entry, and half as much again for the eigensystems it is
+    # summed from
+    check_memory(96 * 4**n_med, f"a thermal medium on {n_med} sites")
     if traced:
         # the chain an explicit medium is evolved on: share its cached eigensystems
         blocks = _sector_eigh(profile)

@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .chain import CouplingProfile
-from .errors import InternalConsistencyError, ZeroProbabilityError
+from .errors import InternalConsistencyError, ZeroProbabilityError, check_memory
 from .heisenberg import Propagator, gaussian_end_expectations
 from .oracle import (
     PROB_FLOOR,
@@ -283,11 +283,10 @@ def _prepare(config: ProtocolConfig, rng: np.random.Generator | None = None):
     other medium is set up as rho_in (x) medium on sites 1..N-1, columns V
     and weights w with rho = V diag(w) V^dagger, and each outcome is evolved
     when asked for.  A random-pure medium is drawn from `rng`, or from a
-    generator seeded with the config seed when none is given."""
+    generator seeded with the config seed when none is given.  Each engine
+    checks what it allocates before allocating: the Gaussian one the memory
+    budget, the exact one the cap and the budget."""
     n = config.profile.n_sites
-    # one size rule for every medium: the factored chain state of the exact
-    # engine holds 2**n x 2**(n-1) amplitudes
-    check_size(n, dense=True)
     # <kappa_o| rho |kappa_o> = (1 + o (Re c x + Im c y)) / 2 for the ket
     # (|0> + o c |1>)/sqrt(2), c = i**n, and rho's Bloch vector (x, y, z)
     x, y, _ = _bloch(config.end_state or _END_STATE)
@@ -295,7 +294,22 @@ def _prepare(config: ProtocolConfig, rng: np.random.Generator | None = None):
     p_pre = {o: (1.0 + o * (c.real * x + c.imag * y)) / 2.0 for o in (1, -1)}
     kind, beta, explicit = _parse_medium(config.medium)
     if kind in _GAUSSIAN:
+        # the chain's solve (eigenvectors and dstevd workspace, N**2 doubles
+        # each), and for a thermal medium its pair basis beside the chain's
+        # eigenvectors: the interior chain's solve, or the fullchain eigh's
+        # input and eigenvectors with LAPACK's workspace
+        check_memory(8 * n * (n + 16) * (4 if kind == "thermal" else 2),
+                     f"the Gaussian protocol on {n} sites")
         return p_pre, _gaussian_outcomes(config, kind, beta).__getitem__
+    check_size(n)
+    # rho_in (x) medium factored into k columns, every eigenvector of a mixed
+    # state among them; per entry of the evolved 2**n x k columns, six
+    # complex numbers at the peak: the columns, their evolution, its
+    # regrouped copy, that copy weighted and conjugated, and the half-height
+    # front columns, with room for the per-sector temporaries
+    k = (1 if isinstance(config.input_state, StateVector) else 2) * (
+        2 ** (n - 2) if isinstance(explicit, DensityMatrix) else 1)
+    check_memory(16 * 2**n * (6 * k + 2), f"the exact protocol on {n} sites")
     if config.draws_medium:
         rng = np.random.default_rng(config.seed) if rng is None else rng
         med_cols, med_w = _factor(_random_pure(rng, n - 2))
@@ -446,6 +460,8 @@ def average_fidelity(
     """
     kind, _, _ = _parse_medium(medium)
     if kind == "random" and profile.n_sites > 2:
+        # the draw is the exact engine's, so the cap refuses it before it is made
+        check_size(profile.n_sites)
         medium = _random_pure(np.random.default_rng(seed), profile.n_sites - 2)
     values = []
     for name in AXIAL_NAMES:
@@ -471,6 +487,12 @@ class IdentityCheck:
     passed: bool
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # past these, the tolerance alone would decide every check
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 def _pair_string(n: int, first: str, last: str) -> PauliString:
     letters = ["I"] * n
     letters[0] = first
@@ -486,8 +508,10 @@ def verify_protocol_identities(
     At the revival time the evolved end-site Z lands on the opposite end,
     and the evolved two-end products reduce to static two-end products
     whose letters depend on the chain-length parity.  Returns one entry
-    per relation with its max-abs matrix deviation.
+    per relation with its max-abs matrix deviation.  A tolerance that is not
+    finite and positive raises ValueError.
     """
+    _check_tolerance(tolerance)
     n = profile.n_sites
     t = REVIVAL_TIME if time is None else float(time)
     # the two-end products reduce to static ones whose letters depend on
@@ -547,8 +571,10 @@ def verify_transfer_condition(
     Reports the per-letter best deviation.  The condition holds for
     even-length perfect chains with the X/identity/X triple and provably
     fails for odd lengths, where the surviving relation needs a two-end
-    correction instead.
+    correction instead.  A tolerance that is not finite and positive raises
+    ValueError.
     """
+    _check_tolerance(tolerance)
     n = profile.n_sites
     t = REVIVAL_TIME if time is None else float(time)
     # tuples, not strings: a substring test would pass "" and "XY"

@@ -231,12 +231,14 @@ def test_transfer_bad_medium(capsys):
 
 
 def test_transfer_size_cap_exit_code(capsys, monkeypatch):
+    # the cap bounds the exact engine, which a random-pure medium takes
     monkeypatch.setenv("XXQST_ORACLE_CAP", "14")
     code, _, err = run_cli(
-        capsys, "--oracle-cap", "4", "transfer", "--n", "6",
+        capsys, "--oracle-cap", "4", "transfer", "--n", "6", "--medium", "random-pure",
+        "--seed", "1",
     )
     assert code == 3
-    assert "cap" in err or "limit" in err or "sites" in err
+    assert "cap of 4" in err
 
 
 @pytest.mark.parametrize("medium, variant", [
@@ -244,20 +246,53 @@ def test_transfer_size_cap_exit_code(capsys, monkeypatch):
     ("thermal:1.0", "subchain"), ("thermal:1.0", "fullchain"),
 ])
 def test_transfer_past_the_dense_limit_exit_code(capsys, monkeypatch, medium, variant):
-    # one size rule for every medium, whichever engine would run it
+    # each engine answers to its own rule: past 12 sites the Gaussian
+    # mediums run, and random-pure, on the exact engine, is refused past
+    # the cap of 14
     monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
-    code, _, err = run_cli(
-        capsys, "transfer", "--n", "13", "--medium", medium, "--thermal-variant", variant,
+    n = 15 if medium == "random-pure" else 13
+    code, out, err = run_cli(
+        capsys, "transfer", "--n", str(n), "--medium", medium, "--thermal-variant", variant,
+        "--seed", "1", "--no-timestamp",
     )
-    assert code == 3
-    assert "limited to 12" in err
+    if medium == "random-pure":
+        assert (code, out) == (3, "")
+        assert "cap of 14" in err
+        return
+    assert code == 0, err
+    branches = json.loads(out)["branches"]
+    assert abs(sum(b["probability"] for b in branches) - 1.0) <= 1e-12
+    assert all(abs(b["fidelity"] - 1.0) <= 1e-9 for b in branches)
 
 
 def test_oracle_cap_flag_leaves_environment_unchanged(capsys):
     before = dict(os.environ)
     assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "3")[0] == 0
-    assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "6")[0] == 3
+    # a Gaussian medium takes no exact engine, so the cap does not reach it
+    assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "6")[0] == 0
+    assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "6",
+                   "--medium", "random-pure", "--seed", "1")[0] == 3
     assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("cap", ["1", "x"])
+@pytest.mark.parametrize("command", [
+    ["coefficients", "--n", "5", "--t-max", "1", "--steps", "3"],
+    ["transfer", "--n", "3"],
+    ["sweep", "--n", "5"],
+    ["optimize", "--n", "5"],
+    ["verify", "--n", "4"],
+])
+def test_bad_oracle_cap_is_usage_error(capsys, cap, command):
+    # refused when the arguments are parsed, by oracle_cap()'s rule, so no
+    # subcommand runs with it
+    with pytest.raises(SystemExit) as info:
+        main(["--oracle-cap", cap, *command, "--no-timestamp"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle-cap" in captured.err
+    assert build_parser().parse_args(["--oracle-cap", "2", *command]).oracle_cap == 2
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +406,15 @@ def test_verify_non_finite_time_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_verify_bad_tolerance_is_usage_error(capsys, tolerance):
+    for extra in ([], ["--condition", "X,I,X"]):
+        code, out, err = run_cli(capsys, "verify", "--n", "4", "--tolerance", tolerance,
+                                 *extra, "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert "tolerance must be finite and positive" in err
 
 
 def test_verify_past_the_dense_conjugation_limit_exit_code(capsys):

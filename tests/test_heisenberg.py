@@ -458,42 +458,28 @@ def test_grid_results_match_per_time_calls(case, n, seed, stacked):
         assert np.all(np.abs(many - each) <= np.asarray(bound)[..., None, None])
 
 
-def _perfect_chain_coefficients(n, t):
-    """alpha_k(t) = (-1)^floor((k-1)/2) sqrt(C(N-1, k-1)) cos^(N-k)(2t)
-    sin^(k-1)(2t), k = 1..N, on the perfect chain; the binomial through
-    log-gamma, so long chains neither overflow nor underflow early."""
-    k = np.arange(1, n + 1)
-    c, s = math.cos(2 * t), math.sin(2 * t)
-    log_binom = np.array([math.lgamma(n) - math.lgamma(j) - math.lgamma(n - j + 1) for j in k])
-    magnitude = np.exp(0.5 * log_binom + (n - k) * math.log(abs(c)) + (k - 1) * math.log(abs(s)))
-    sign = (-1.0) ** ((k - 1) // 2) * np.sign(c) ** (n - k) * np.sign(s) ** (k - 1)
-    return sign * magnitude
-
-
 def test_perfect_chain_matches_its_closed_form():
-    # an exact long-chain reference with no 2**n matrix, for the time-array
-    # branch (its filled table, and its folded single entry through
-    # end_weights) and the scalar branch alike, within the residue bound's
-    # roundoff model 64 eps (1 + max|w| t); alpha_N^2 within twice that, as
-    # |a^2 - b^2| <= 2 |a - b| for |a|, |b| <= 1
+    # an exact long-chain reference with no 2**n matrix, the closed form in
+    # mpmath, for the time-array branch (its filled table, and its folded
+    # single entry through end_weights) and the scalar branch alike, within
+    # the residue bound's roundoff model 64 eps (1 + max|w| t); alpha_N^2
+    # within twice that, as |a^2 - b^2| <= 2 |a - b| for |a|, |b| <= 1
     times = np.array([0.1, 0.3, 0.7, 1.1, 2.0, 5.0])
     eps = np.finfo(float).eps
     for n in list(range(2, 65)) + [999, 1000]:
         prop = Propagator(perfect_profile(n).rates)
         w_max = np.abs(prop.eigenvalues).max()
         many, weights = prop.coefficients_many(times), prop.end_weights(times)
-        for t, row, weight in zip(times, many, weights):
-            expected = _perfect_chain_coefficients(n, t)
+        rows = reference.perfect_chain_coefficients(n, times)
+        for t, row, weight, expected in zip(times, many, weights, rows):
             bound = 64 * eps * (1 + w_max * t)
             assert np.max(np.abs(row - expected)) <= bound
             assert np.max(np.abs(prop.coefficients(t) - expected)) <= bound
             assert abs(weight - expected[-1] ** 2) <= 2 * bound
     # the CLI's uniform grids up to the first revival and a late one, whose
     # phase tables are coarse x fine products, on a sample of grid times:
-    # both ends, each side of the first coarse step and the middle.  There
-    # the double-precision closed form above is off by up to 1.4 times the
-    # bound (N = 1000, t = 0.0061), so the reference is the closed form in
-    # mpmath; the engine measured at most 0.064 times the bound
+    # both ends, each side of the first coarse step and the middle; the
+    # engine measured at most 0.064 times the bound
     for n in (999, 1000, 1001):
         prop = Propagator(perfect_profile(n).rates)
         w_max = np.abs(prop.eigenvalues).max()

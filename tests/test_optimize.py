@@ -143,6 +143,22 @@ def test_refine_reaches_near_unit_transfer():
     assert polish.improved
 
 
+def test_refine_holds_two_eigensystems_at_most():
+    # the start's propagator and the one being scored: 8 n^2 bytes of
+    # eigenvectors each, and one solve's workspace.  Holding every scored
+    # eta's took 3.95 MiB (about 12 eigensystems), and 95.8 MiB at n = 1000
+    n = 200
+    refine(n, (0.44, 53.0))
+    tracemalloc.start()
+    try:
+        result = refine(n, (0.44, 53.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({eta for eta, _, _ in result.trace}) >= 2
+    assert peak <= 3 * 16 * n * n
+
+
 def test_refine_trace_is_monotone():
     grid = sweep(5, resolution=16)
     polish = refine(5, (grid.best_eta, grid.best_time))

@@ -26,7 +26,7 @@ from xxqst import (
 )
 from xxqst import oracle
 from xxqst.errors import InternalConsistencyError
-from xxqst.oracle import DENSE_SITE_LIMIT, check_size, evolve_columns
+from xxqst.oracle import check_size, evolve_columns
 
 import reference
 
@@ -338,27 +338,24 @@ def test_evolve_respects_cap(monkeypatch):
 
 
 def test_size_rule_separates_dense_work(monkeypatch):
+    # the cap bounds the chain; dense arrays answer to the memory budget
     monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
-    assert DENSE_SITE_LIMIT == 12
-    check_size(13)
-    check_size(DENSE_SITE_LIMIT, dense=True)
-    with pytest.raises(ResourceLimitError, match="limited to 12"):
-        check_size(13, dense=True)
-    with pytest.raises(ResourceLimitError, match="cap"):
+    check_size(14)
+    with pytest.raises(ResourceLimitError, match="cap of 14"):
         check_size(15)
-    # a 13-site medium fits the cap but is dense: refused before any eigensolve
+    # a 13-site medium fits the cap but not the budget: refused before any eigensolve
     monkeypatch.setattr(oracle, "_eigensystems", None)
-    with pytest.raises(ResourceLimitError, match="limited to 12"):
+    with pytest.raises(ResourceLimitError, match="thermal medium on 13 sites.*memory budget"):
         thermal_medium(perfect_profile(15), 1.0)
 
 
 def test_size_rule_follows_a_lower_cap(monkeypatch):
     monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
-    check_size(4, dense=True)
-    for dense in (False, True):
-        with pytest.raises(ResourceLimitError, match="cap of 4"):
-            check_size(5, dense=dense)
-    with pytest.raises(ResourceLimitError):
+    check_size(4)
+    with pytest.raises(ResourceLimitError, match="cap of 4"):
+        check_size(5)
+    # a density matrix fits the budget, so the cap refuses it
+    with pytest.raises(ResourceLimitError, match="cap of 4"):
         evolve(DensityMatrix.maximally_mixed(5), perfect_profile(5), 0.1)
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from xxqst import (
     verify_protocol_identities,
     verify_transfer_condition,
 )
+from xxqst import oracle
 
 import reference
 
@@ -246,58 +249,36 @@ def test_perfect_transfer_long_chains_every_medium(n):
             assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [100, 101])
+@pytest.mark.parametrize("n", [13, 100, 101, 200, 201])
 def test_perfect_transfer_past_the_dense_limit_on_gaussian_mediums(n):
-    # the public entry points keep the dense size rule, so the branches are
-    # read from the Gaussian evaluation directly; 101 sites leave an odd
-    # interior with an exact zero mode
-    from xxqst.protocol import PROB_FLOOR, _finish_branch, _gaussian_outcomes, _parse_medium
-
+    # the Gaussian mediums answer to the memory budget alone, so both entry
+    # points run them at any length; odd lengths leave an odd interior with
+    # an exact zero mode
     rng = np.random.default_rng(7700 + n)
     mediums = [("all-zero", "subchain"), ("maximally-mixed", "subchain"),
                ("thermal:1.0", "subchain"), ("thermal:1.0", "fullchain"),
                ("thermal:0.05", "subchain")]
     for medium, variant in mediums:
         config = ProtocolConfig(perfect_profile(n), bloch_state(*rng.uniform(0.0, 3.0, size=2)),
-                                medium=medium, thermal_variant=variant)
-        kind, beta, _ = _parse_medium(medium)
-        kept = 0
-        for o_pre, outcomes in _gaussian_outcomes(config, kind, beta).items():
-            for o_post, (p_post, site_n) in outcomes.items():
-                if p_post < PROB_FLOOR:
-                    continue
-                branch = _finish_branch(config, site_n, p_post, o_pre, o_post, p_post,
-                                        REVIVAL_TIME, True)
-                assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
-                kept += 1
-        assert kept >= 2
+                                medium=medium, thermal_variant=variant, seed=n)
+        branches = run_protocol_branches(config)
+        assert len(branches) >= 2
+        assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
+        for branch in branches + (run_protocol(config),):
+            assert branch.fidelity_out == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("n, eta, t", [(200, 0.7, 55.0), (201, 0.6, 61.0)])
 def test_axial_average_on_long_boundary_chains_is_medium_independent(n, eta, t):
     # at beta = 0.05 nearly every medium pair has |delta| << 1; for any
     # medium the axial average is the coefficient engine's closed form
-    from xxqst.protocol import PROB_FLOOR, _finish_branch, _gaussian_outcomes, _parse_medium
-
     profile = boundary_profile(n, eta)
     expected = Propagator(profile.rates).average_fidelity(t)
     mediums = [("thermal:0.05", "subchain"), ("all-zero", "subchain"),
                ("maximally-mixed", "subchain"), ("thermal:0.3", "fullchain")]
     for medium, variant in mediums:
-        kind, beta, _ = _parse_medium(medium)
-        total = 0.0
-        for name in AXIAL_NAMES:
-            config = ProtocolConfig(profile, axial_state(name), medium=medium,
-                                    evolution_time=t, thermal_variant=variant)
-            for o_pre, outcomes in _gaussian_outcomes(config, kind, beta).items():
-                for o_post, (p_post, site_n) in outcomes.items():
-                    if p_post < PROB_FLOOR:
-                        continue
-                    branch = _finish_branch(config, site_n, p_post, o_pre, o_post, p_post,
-                                            t, True)
-                    # the default end state |0> gives p_pre = 1/2 for either outcome
-                    total += 0.5 * p_post * branch.fidelity_out
-        assert abs(total / len(AXIAL_NAMES) - expected) < 1e-12
+        average = average_fidelity(profile, t, medium, variant)
+        assert abs(average.mean - expected) < 1e-12
 
 
 def _explicit_medium(profile, medium, variant):
@@ -591,27 +572,49 @@ def test_config_validation():
 
 
 def test_protocol_refuses_chains_past_the_dense_limit(monkeypatch):
-    # refused under the default cap of 14, before any eigensolve: the
-    # 13-site chain's would take about a second
+    # the exact engine's mediums are refused past the cap of 14 (a mixed
+    # explicit one also past the memory budget, in test_resources), before
+    # any eigensolve or large array; the Gaussian mediums past the budget
     monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
-    profile = perfect_profile(13)
-    mediums = [("all-zero", "subchain"), ("maximally-mixed", "subchain"),
-               ("random-pure", "subchain"), ("thermal:1.0", "subchain"),
-               ("thermal:1.0", "fullchain"), (StateVector.basis(11, 0), "subchain")]
-    for medium, variant in mediums:
-        config = ProtocolConfig(profile, axial_state("+x"), medium=medium,
-                                thermal_variant=variant)
-        with pytest.raises(ResourceLimitError):
-            run_protocol_branches(config)
-        with pytest.raises(ResourceLimitError):
-            run_protocol(config)
+    monkeypatch.setattr(oracle, "_eigensystems", None)
+    refusals = [(15, "random-pure", "cap of 14"), (15, StateVector.basis(13, 0), "cap of 14"),
+                (20000, "all-zero", "Gaussian protocol on 20000 sites"),
+                (20000, "thermal:1.0", "Gaussian protocol on 20000 sites")]
+    for n, medium, message in refusals:
+        config = ProtocolConfig(perfect_profile(n), axial_state("+x"), medium=medium)
+        for run in (run_protocol_branches, run_protocol):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match=message):
+                    run(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+
+def test_average_fidelity_refuses_a_random_pure_draw_past_the_cap(monkeypatch):
+    # the medium is drawn before any protocol run: 2**38 amplitudes at n = 40
+    monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
+    profile = perfect_profile(40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="cap of 14"):
+            average_fidelity(profile, medium="random-pure", seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_protocol_follows_a_lower_cap(monkeypatch):
     monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
-    assert len(run_protocol_branches(ProtocolConfig(perfect_profile(4), axial_state("0")))) > 0
-    with pytest.raises(ResourceLimitError):
-        run_protocol_branches(ProtocolConfig(perfect_profile(5), axial_state("0")))
+    random_pure = ProtocolConfig(perfect_profile(4), axial_state("0"), medium="random-pure", seed=1)
+    assert len(run_protocol_branches(random_pure)) > 0
+    with pytest.raises(ResourceLimitError, match="cap of 4"):
+        run_protocol_branches(dataclasses.replace(random_pure, profile=perfect_profile(5)))
+    # the cap bounds the exact engine only: a Gaussian medium runs past it
+    assert len(run_protocol_branches(ProtocolConfig(perfect_profile(5), axial_state("0")))) > 0
 
 
 def test_one_sided_end_state_prunes_branches():
@@ -774,6 +777,17 @@ def test_transfer_condition_fixed_exponents():
     free = verify_transfer_condition(perfect_profile(4))
     for fixed_entry, free_entry in zip(report.entries, free.entries):
         assert fixed_entry.deviation == pytest.approx(free_entry.deviation, abs=1e-12)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+def test_identity_checks_reject_a_bad_tolerance(tolerance):
+    # a tolerance no deviation can pass (or every one) would say nothing of
+    # the chain; refused before the 9-site chain's size is checked
+    for n in (4, 9):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            verify_protocol_identities(perfect_profile(n), tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            verify_transfer_condition(perfect_profile(n), tolerance=tolerance)
 
 
 @pytest.mark.parametrize("n", [9, 13])

@@ -47,7 +47,6 @@ from .oracle import (
     extract_string_coefficients,
     fidelity,
     measure_site,
-    oracle_cap,
     project_site,
     reduced_state,
     string_basis,
@@ -97,7 +96,6 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "PauliString",
-    "oracle_cap",
     "evolve",
     "conjugate_operator",
     "string_basis",

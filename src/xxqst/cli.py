@@ -9,7 +9,9 @@ reruns are byte-identical (the determinism contract the tests pin).
 
 Exit codes: 0 success, 1 failed verification checks or an `optimize`
 search that did not converge (its JSON is still written), 2 usage errors,
-3 resource limits and failed allocations, 4 internal consistency failures.
+3 work past the memory budget (refused before it is allocated, see
+:mod:`xxqst.errors`) and failed allocations, 4 internal consistency
+failures.  No option or environment variable moves the budget.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import secrets
 import sys
 from datetime import datetime, timezone
@@ -54,18 +55,6 @@ def parse_time(text: str) -> float:
     if token in _TIME_TOKENS:
         return _TIME_TOKENS[token]
     return float(text)
-
-
-def _oracle_cap(text: str) -> int:
-    """An --oracle-cap value, by the rule of :func:`xxqst.oracle_cap`: an
-    integer of at least 2."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if cap < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {cap}")
-    return cap
 
 
 def _parse_profile(args) -> CouplingProfile:
@@ -263,6 +252,16 @@ def _cmd_optimize(args) -> int:
 def _cmd_verify(args) -> int:
     profile = _parse_profile(args)
     t = args.t if args.t is not None else REVIVAL_TIME
+    report = None
+    if args.condition:
+        letters = args.condition.split(",")
+        if len(letters) != 3:
+            raise ValueError("--condition expects three letters like X,I,X")
+        # the larger of the two checks first: a chain it refuses is refused
+        # before the identity checks run
+        report = verify_transfer_condition(
+            profile, t, letters[0], letters[1], letters[2], tolerance=args.tolerance
+        )
     checks = verify_protocol_identities(profile, t, tolerance=args.tolerance)
     config = {
         "command": "verify",
@@ -278,13 +277,7 @@ def _cmd_verify(args) -> int:
         status = "PASS" if check.passed else "FAIL"
         all_passed = all_passed and check.passed
         lines.append(f"{check.description:<{width}} {check.deviation:.3e}  {status}")
-    if args.condition:
-        letters = args.condition.split(",")
-        if len(letters) != 3:
-            raise ValueError("--condition expects three letters like X,I,X")
-        report = verify_transfer_condition(
-            profile, t, letters[0], letters[1], letters[2], tolerance=args.tolerance
-        )
+    if report is not None:
         for entry in report.entries:
             status = "PASS" if entry.deviation < args.tolerance else "FAIL"
             desc = (
@@ -338,10 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "on XX spin chains.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--oracle-cap", type=_oracle_cap, default=None,
-        help="override the exact-engine size cap for this run",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     coeff = commands.add_parser(
@@ -411,11 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the cap reaches the oracle through its environment variable; the
-    # previous value comes back when the run ends, so it holds for this run only
-    previous_cap = os.environ.get("XXQST_ORACLE_CAP")
-    if args.oracle_cap is not None:
-        os.environ["XXQST_ORACLE_CAP"] = str(args.oracle_cap)
     try:
         return args.handler(args)
     except (ResourceLimitError, MemoryError) as exc:
@@ -428,11 +412,6 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if previous_cap is None:
-            os.environ.pop("XXQST_ORACLE_CAP", None)
-        else:
-            os.environ["XXQST_ORACLE_CAP"] = previous_cap
 
 
 if __name__ == "__main__":

@@ -6,14 +6,12 @@ serves as the ground truth the fast coefficient engine is checked against.
 Site 1 occupies the most significant bit of a basis index, so |100...0>
 means an excitation on site 1.
 
-The admissible chain length is bounded by :func:`oracle_cap` (default 14,
-override with the ``XXQST_ORACLE_CAP`` environment variable), which
-:func:`check_size` applies; it bounds the sector eigensystems.  The dense
-arrays (density-matrix evolution and the 2**(N-2) square thermal mediums)
-are bounded by the package's memory budget instead
-(:func:`xxqst.errors.check_memory`), which stops both at 12 sites, where
-a 2**n x 2**n density matrix holds 256 MiB.  Dense operator conjugation
-stops at 8 sites.  The chain
+Every array past one 2**n vector answers to the package's memory budget
+(:func:`xxqst.errors.check_memory`), each call estimating its own peak
+before it allocates.  :func:`check_size` estimates the sector
+eigensystems, which the budget admits up to 14 sites; a 2**n x 2**n
+density matrix holds 256 MiB at 12 sites, where density-matrix evolution,
+the thermal mediums and dense operator conjugation stop.  The chain
 conserves total Z, so time evolution (:func:`evolve_columns`) and both
 thermal mediums diagonalize the magnetization-sector blocks of
 :func:`xxqst.chain.sector_blocks` one at a time and never form the
@@ -26,23 +24,19 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .chain import CouplingProfile, sector_blocks
-from .errors import (
-    InternalConsistencyError, ResourceLimitError, ZeroProbabilityError, check_memory,
-)
+from .errors import InternalConsistencyError, ZeroProbabilityError, check_memory
 
 __all__ = [
     "StateVector",
     "DensityMatrix",
     "PauliString",
     "PROB_FLOOR",
-    "oracle_cap",
     "check_size",
     "evolve",
     "evolve_columns",
@@ -56,8 +50,6 @@ __all__ = [
     "thermal_medium",
 ]
 
-_ENV_CAP = "XXQST_ORACLE_CAP"
-_DEFAULT_CAP = 14
 # outcomes and norms below this count as zero, here and in the protocol
 PROB_FLOOR = 1e-14
 
@@ -81,28 +73,14 @@ _PAULI_MUL = {
 _PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 
-def oracle_cap() -> int:
-    """Maximum chain length the exact engine accepts."""
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return _DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise ValueError(f"{_ENV_CAP} must be >= 2, got {cap}")
-    return cap
-
-
 def check_size(n: int) -> None:
-    """Raise ResourceLimitError for a chain of n sites above the cap."""
-    cap = oracle_cap()
-    if n > cap:
-        raise ResourceLimitError(
-            f"chain of {n} sites exceeds the exact-engine cap of {cap} "
-            f"(raise {_ENV_CAP} to override)"
-        )
+    """Refuse, before any eigensolve, a chain of n sites whose magnetization-
+    sector eigensystems would not fit the memory budget."""
+    # the eigenvectors of every sector, sum_m C(n, m)**2 = C(2n, n) doubles,
+    # and the largest sector's solve beside them (its block, eigenvectors
+    # and LAPACK's workspace): 1.6-1.9 times the tracemalloc peak at n = 8..14
+    check_memory(8 * (math.comb(2 * n, n) + 4 * math.comb(n, n // 2) ** 2),
+                 f"the sector eigensystems of {n} sites")
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +135,9 @@ class StateVector:
         return cls(n_sites, amps / norm)
 
     def density_matrix(self) -> "DensityMatrix":
+        # the outer product beside DensityMatrix's three arrays
+        check_memory(80 * 4**self.n_sites,
+                     f"the density matrix of a pure state on {self.n_sites} sites")
         return DensityMatrix(self.n_sites, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
@@ -185,6 +166,9 @@ class DensityMatrix:
         if self.n_sites < 1:
             raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
         dim = 2**self.n_sites
+        # three complex dim x dim arrays at the peak: the copy and the two
+        # temporaries of the Hermiticity check, with room for the rest
+        check_memory(64 * dim**2, f"a density matrix on {self.n_sites} sites")
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
@@ -214,6 +198,8 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, n_sites: int) -> "DensityMatrix":
+        # the state beside the three arrays of its checks
+        check_memory(80 * 4**n_sites, f"a maximally mixed state on {n_sites} sites")
         dim = 2**n_sites
         return cls(n_sites, np.eye(dim, dtype=complex) / dim)
 
@@ -305,7 +291,8 @@ def _eigensystems(profile: CouplingProfile):
     return tuple((idx, *np.linalg.eigh(block)) for idx, block in sector_blocks(profile))
 
 
-# one chain at a time: peak memory stays bounded by the size cap
+# one chain at a time: the eigensystems that check_size estimates are held
+# for one chain only, whatever the number of chains evolved
 _sector_eigh = lru_cache(maxsize=1)(_eigensystems)
 
 
@@ -366,11 +353,14 @@ def conjugate_operator(op, profile: CouplingProfile, time: float) -> np.ndarray:
     """Heisenberg-evolved operator e^{iHt} O e^{-iHt} as a dense matrix.
 
     `op` may be a PauliString, a dense matrix, or an iterable of
-    PauliStrings which are summed.  Limited to 8 sites.
+    PauliStrings which are summed.  It must fit the memory budget, which
+    it does up to 12 sites.
     """
     n = profile.n_sites
-    if n > 8:
-        raise ResourceLimitError(f"dense conjugation limited to 8 sites, got {n}")
+    # five complex 2**n x 2**n arrays at the peak: the operator and its
+    # adjoint, the half-evolved matrix and its adjoint, and the result; a
+    # sixth covers the per-sector temporaries
+    check_memory(96 * 4**n, f"dense operator conjugation on {n} sites")
     if isinstance(op, PauliString):
         mat = op.to_matrix()
     elif isinstance(op, np.ndarray):
@@ -411,6 +401,7 @@ def extract_string_coefficients(
     Tr(s_k O(t)) / 2**n.  The basis is closed under the chain evolution, so
     the residual left after the projection must vanish; a residual above
     1e-10, or imaginary parts above 1e-12, raise InternalConsistencyError.
+    The conjugation sets the peak, so its memory check bounds this call.
     """
     n = profile.n_sites
     site = 1 if origin == "site1" else n
@@ -545,31 +536,28 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
-def _as_matrix(state) -> np.ndarray:
-    """Density matrix of either state type."""
-    if isinstance(state, StateVector):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    raise TypeError(f"not a quantum state: {type(state).__name__}")
-
-
 def fidelity(a, b) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(a) b sqrt(a)))**2.
 
-    For a pure argument this reduces to the exact overlap expectation
-    <psi|rho|psi>, taken before anything is diagonalized, and for a pair of
-    single-qubit matrices the closed two-by-two form is used, both of which
-    avoid the square-root noise of the general path.
+    Two pure states give |<a|b>|**2 from one inner product.  For one pure
+    argument this reduces to the exact overlap expectation <psi|rho|psi>,
+    taken before anything is diagonalized, and for a pair of single-qubit
+    matrices the closed two-by-two form is used, both of which avoid the
+    square-root noise of the general path.
     """
     if isinstance(b, StateVector) and not isinstance(a, StateVector):
         a, b = b, a
-    mat_b = _as_matrix(b)
-    mat_a = None if isinstance(a, StateVector) else _as_matrix(a)
+    for state in (b, a):
+        if not isinstance(state, (StateVector, DensityMatrix)):
+            raise TypeError(f"not a quantum state: {type(state).__name__}")
     if a.n_sites != b.n_sites:
         raise ValueError("states live on different Hilbert spaces")
-    if mat_a is None:
+    if isinstance(b, StateVector):
+        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    mat_b = b.matrix
+    if isinstance(a, StateVector):
         return float(np.real(a.amplitudes.conj() @ mat_b @ a.amplitudes))
+    mat_a = a.matrix
     # a density matrix within 1e-12 of pure counts as its top eigenvector
     for mat, other in ((mat_a, mat_b), (mat_b, mat_a)):
         w, v = np.linalg.eigh(mat)
@@ -595,10 +583,10 @@ def thermal_medium(profile: CouplingProfile, beta: float,
     "subchain" (default) takes exp(-beta H_med)/Z for the interior chain
     with couplings J_2..J_{N-2}; "fullchain" reduces the Gibbs state of the
     whole chain to the interior.  Both are built from the magnetization-
-    sector eigensystems of their chain, which must fit the size cap: N - 2
-    sites for "subchain", N for "fullchain".  The N - 2 site medium must
-    also fit the memory budget, which it does up to 12 sites.  beta = 0
-    gives the maximally mixed medium exactly.
+    sector eigensystems of their chain, N - 2 sites for "subchain" and N
+    for "fullchain", and both these and the N - 2 site medium must fit the
+    memory budget, which the medium does up to 12 sites.  beta = 0 gives
+    the maximally mixed medium exactly.
     """
     n = profile.n_sites
     if n < 3:
@@ -611,12 +599,12 @@ def thermal_medium(profile: CouplingProfile, beta: float,
     n_med = n - 2
     # number of sites traced out at each end of the chain the state is built on
     traced = int(variant == "fullchain")
-    check_size(n_med + 2 * traced)
     # the Gibbs state as floats and its normalized copy, then DensityMatrix's
     # complex copy and the two complex temporaries of its Hermiticity check:
     # 64 bytes per entry, and half as much again for the eigensystems it is
-    # summed from
+    # summed from, which check_size also holds to the budget
     check_memory(96 * 4**n_med, f"a thermal medium on {n_med} sites")
+    check_size(n_med + 2 * traced)
     if traced:
         # the chain an explicit medium is evolved on: share its cached eigensystems
         blocks = _sector_eigh(profile)

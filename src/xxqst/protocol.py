@@ -285,7 +285,8 @@ def _prepare(config: ProtocolConfig, rng: np.random.Generator | None = None):
     when asked for.  A random-pure medium is drawn from `rng`, or from a
     generator seeded with the config seed when none is given.  Each engine
     checks what it allocates before allocating: the Gaussian one the memory
-    budget, the exact one the cap and the budget."""
+    budget for its propagators, the exact one for its sector eigensystems
+    (:func:`xxqst.oracle.check_size`) and its columns."""
     n = config.profile.n_sites
     # <kappa_o| rho |kappa_o> = (1 + o (Re c x + Im c y)) / 2 for the ket
     # (|0> + o c |1>)/sqrt(2), c = i**n, and rho's Bloch vector (x, y, z)
@@ -460,7 +461,8 @@ def average_fidelity(
     """
     kind, _, _ = _parse_medium(medium)
     if kind == "random" and profile.n_sites > 2:
-        # the draw is the exact engine's, so the cap refuses it before it is made
+        # the draw is the exact engine's, so its size check refuses it before
+        # it is made
         check_size(profile.n_sites)
         medium = _random_pure(np.random.default_rng(seed), profile.n_sites - 2)
     values = []
@@ -521,12 +523,16 @@ def verify_protocol_identities(
     else:
         pairs = (("X", "Y", "Y", 1), ("Y", "X", "Y", -1))
     # (description, operator, target): each target becomes a dense matrix
-    # only after conjugate_operator has accepted the chain's size
+    # only after the memory check below
     checks = [(f"Z_{n}(t) = Z_1", PauliString.single(n, n, "Z"), PauliString.single(n, 1, "Z"))]
     for last, first_to, last_to, sign in pairs:
         description = f"X_1(t) {last}_{n}(t) = {'-' if sign < 0 else ''}{first_to}_1 {last_to}_{n}"
         target = PauliString(n, _pair_string(n, first_to, last_to).letters, sign)
         checks.append((description, _pair_string(n, "X", last), target))
+    # a conjugation's five complex 2**n x 2**n arrays (conjugate_operator)
+    # beside the previous check's evolved matrix, and a seventh for the
+    # conjugation's per-sector temporaries
+    check_memory(112 * 4**n, f"the identity checks on {n} sites")
     out = []
     for description, op, target in checks:
         evolved = conjugate_operator(op, profile, t)
@@ -549,6 +555,21 @@ class ConditionReport:
     entries: tuple[ConditionEntry, ...]
     passed: bool
     tolerance: float
+
+
+def _condition_entry(profile, t, letter, pairs, left, mid, right_op) -> ConditionEntry:
+    """The exponents (j, k) among `pairs` with the least deviation for one
+    letter, the first on a tie.  Each side is built once, as it does not
+    depend on the other side's exponent, and freed before the next letter."""
+    n = profile.n_sites
+    evolved_o = conjugate_operator(PauliString.single(n, n, letter), profile, t)
+    site1 = PauliString.single(n, 1, letter)
+    lhs = {j: left @ evolved_o if j else (evolved_o if mid is None else mid @ evolved_o)
+           for j in dict.fromkeys(j for j, _ in pairs)}
+    rhs = {k: (site1 * PauliString.single(n, n, right_op) if k else site1).to_matrix()
+           for k in dict.fromkeys(k for _, k in pairs)}
+    devs = [(float(np.max(np.abs(lhs[j] - rhs[k]))), j, k) for j, k in pairs]
+    return ConditionEntry(letter, *min(devs, key=lambda d: d[0]))
 
 
 def verify_transfer_condition(
@@ -581,27 +602,22 @@ def verify_transfer_condition(
     letters = ("X", "Y", "Z")
     if left_op not in letters or right_op not in letters or mid_op not in ("I", *letters):
         raise ValueError("operators must be single Pauli letters (mid may be I)")
-    # conjugate_operator refuses an oversized chain before any dense matrix exists
-    evolved_left = conjugate_operator(PauliString.single(n, 1, left_op), profile, t)
-    identity = np.eye(2**n, dtype=complex)
-    mid = PauliString.single(n, n, mid_op).to_matrix() if mid_op != "I" else identity
-    right = PauliString.single(n, n, right_op).to_matrix()
+    # nine complex 2**n x 2**n arrays at most: the evolved left side and
+    # mid, the evolved O, both left and both right sides, and a deviation's
+    # difference and magnitude; a tenth covers the conjugation's temporaries
+    check_memory(160 * 4**n, f"the transfer condition on {n} sites")
+    left = conjugate_operator(PauliString.single(n, 1, left_op), profile, t)
+    mid = None if mid_op == "I" else PauliString.single(n, n, mid_op).to_matrix()
+    if mid is not None:
+        # associated as (evolved left @ mid) @ evolved O
+        left = left @ mid
     entries = []
     for letter in letters:
-        evolved_o = conjugate_operator(PauliString.single(n, n, letter), profile, t)
-        target_site1 = PauliString.single(n, 1, letter).to_matrix()
         if left_exponents is not None and right_exponents is not None:
             pairs = [(int(left_exponents[letter]), int(right_exponents[letter]))]
         else:
             pairs = [(j, k) for j in (0, 1) for k in (0, 1)]
-        best = None
-        for j, k in pairs:
-            lhs = (evolved_left if j else identity) @ mid @ evolved_o
-            rhs = target_site1 @ (right if k else identity)
-            dev = float(np.max(np.abs(lhs - rhs)))
-            if best is None or dev < best[0]:
-                best = (dev, j, k)
-        entries.append(ConditionEntry(letter, best[0], best[1], best[2]))
+        entries.append(_condition_entry(profile, t, letter, pairs, left, mid, right_op))
     passed = all(e.deviation < tolerance for e in entries)
     return ConditionReport(
         operators=(left_op, mid_op, right_op),

@@ -15,4 +15,4 @@ def test_public_names_resolve():
         assert len(set(names)) == len(names), module.__name__
         for name in names:
             assert hasattr(module, name), f"{module.__name__}.{name}"
-    assert len(xxqst.__all__) == 51
+    assert len(xxqst.__all__) == 50

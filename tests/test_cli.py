@@ -1,13 +1,12 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from xxqst import InternalConsistencyError, __version__
+from xxqst import InternalConsistencyError, __version__, errors
 from xxqst._csvtext import fmt as _fmt
 from xxqst.cli import _csv_rows, build_parser, main, parse_time
 from xxqst.optimize import DEFAULT_ETA_RANGE, DEFAULT_T_RANGE, sweep
@@ -231,25 +230,30 @@ def test_transfer_bad_medium(capsys):
 
 
 def test_transfer_size_cap_exit_code(capsys, monkeypatch):
-    # the cap bounds the exact engine, which a random-pure medium takes
-    monkeypatch.setenv("XXQST_ORACLE_CAP", "14")
-    code, _, err = run_cli(
-        capsys, "--oracle-cap", "4", "transfer", "--n", "6", "--medium", "random-pure",
-        "--seed", "1",
+    # the memory budget bounds the exact engine's sector eigensystems, which
+    # a random-pure medium takes: 20,192 bytes estimated at 6 sites
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 5000)
+    code, out, err = run_cli(
+        capsys, "transfer", "--n", "6", "--medium", "random-pure", "--seed", "1",
     )
-    assert code == 3
-    assert "cap of 4" in err
+    assert (code, out) == (3, "")
+    assert "sector eigensystems of 6 sites" in err and "past the memory budget" in err
+    # an estimate past the float range is refused the same way
+    code, out, err = run_cli(
+        capsys, "transfer", "--n", "1001", "--medium", "random-pure", "--seed", "1",
+    )
+    assert (code, out) == (3, "")
+    assert "sector eigensystems of 1001 sites" in err
 
 
 @pytest.mark.parametrize("medium, variant", [
     ("all-zero", "subchain"), ("maximally-mixed", "subchain"), ("random-pure", "subchain"),
     ("thermal:1.0", "subchain"), ("thermal:1.0", "fullchain"),
 ])
-def test_transfer_past_the_dense_limit_exit_code(capsys, monkeypatch, medium, variant):
-    # each engine answers to its own rule: past 12 sites the Gaussian
-    # mediums run, and random-pure, on the exact engine, is refused past
-    # the cap of 14
-    monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
+def test_transfer_past_the_dense_limit_exit_code(capsys, medium, variant):
+    # each engine answers to its own estimate: past 12 sites the Gaussian
+    # mediums run, and random-pure, on the exact engine, is refused from 15
+    # sites, where its sector eigensystems pass the memory budget
     n = 15 if medium == "random-pure" else 13
     code, out, err = run_cli(
         capsys, "transfer", "--n", str(n), "--medium", medium, "--thermal-variant", variant,
@@ -257,42 +261,13 @@ def test_transfer_past_the_dense_limit_exit_code(capsys, monkeypatch, medium, va
     )
     if medium == "random-pure":
         assert (code, out) == (3, "")
-        assert "cap of 14" in err
+        assert ("sector eigensystems of 15 sites: about 2.39 GiB, "
+                "past the memory budget of 2 GiB") in err
         return
     assert code == 0, err
     branches = json.loads(out)["branches"]
     assert abs(sum(b["probability"] for b in branches) - 1.0) <= 1e-12
     assert all(abs(b["fidelity"] - 1.0) <= 1e-9 for b in branches)
-
-
-def test_oracle_cap_flag_leaves_environment_unchanged(capsys):
-    before = dict(os.environ)
-    assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "3")[0] == 0
-    # a Gaussian medium takes no exact engine, so the cap does not reach it
-    assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "6")[0] == 0
-    assert run_cli(capsys, "--oracle-cap", "4", "transfer", "--n", "6",
-                   "--medium", "random-pure", "--seed", "1")[0] == 3
-    assert dict(os.environ) == before
-
-
-@pytest.mark.parametrize("cap", ["1", "x"])
-@pytest.mark.parametrize("command", [
-    ["coefficients", "--n", "5", "--t-max", "1", "--steps", "3"],
-    ["transfer", "--n", "3"],
-    ["sweep", "--n", "5"],
-    ["optimize", "--n", "5"],
-    ["verify", "--n", "4"],
-])
-def test_bad_oracle_cap_is_usage_error(capsys, cap, command):
-    # refused when the arguments are parsed, by oracle_cap()'s rule, so no
-    # subcommand runs with it
-    with pytest.raises(SystemExit) as info:
-        main(["--oracle-cap", cap, *command, "--no-timestamp"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--oracle-cap" in captured.err
-    assert build_parser().parse_args(["--oracle-cap", "2", *command]).oracle_cap == 2
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +393,16 @@ def test_verify_bad_tolerance_is_usage_error(capsys, tolerance):
 
 
 def test_verify_past_the_dense_conjugation_limit_exit_code(capsys):
+    # 9 sites fit the memory budget; the identity checks are refused from
+    # 13 sites, and a transfer condition from 12, before either runs
     code, out, err = run_cli(capsys, "verify", "--n", "9", "--no-timestamp")
-    assert code == 3
-    assert out == ""
-    assert "8 sites" in err
+    assert code == 0, err
+    assert out.endswith("overall: PASS\n")
+    for argv, what in ((["--n", "13"], "identity checks on 13 sites"),
+                       (["--n", "12", "--condition", "X,I,X"], "transfer condition on 12 sites")):
+        code, out, err = run_cli(capsys, "verify", *argv, "--no-timestamp")
+        assert (code, out) == (3, "")
+        assert what in err and "past the memory budget" in err
 
 
 def test_verify_identity_alias(capsys):

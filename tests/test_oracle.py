@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from xxqst import (
     extract_string_coefficients,
     fidelity,
     measure_site,
-    oracle_cap,
     perfect_profile,
     project_site,
     propagate,
@@ -24,7 +24,7 @@ from xxqst import (
     string_basis,
     thermal_medium,
 )
-from xxqst import oracle
+from xxqst import errors, oracle
 from xxqst.errors import InternalConsistencyError
 from xxqst.oracle import check_size, evolve_columns
 
@@ -306,7 +306,8 @@ def test_evolve_density_matrix_consistent_with_vectors(rng):
 
 
 def test_sector_cache_holds_one_chain():
-    # peak memory is bounded by one chain at the size cap, not by a cache length
+    # peak memory is bounded by one chain's eigensystems, which check_size
+    # holds to the memory budget, not by a cache length
     from xxqst.oracle import _sector_eigh
 
     evolve(StateVector.basis(4, 3), perfect_profile(4), 0.5)
@@ -328,35 +329,39 @@ def test_thermal_medium_keeps_the_evolved_chain_cached():
 
 
 def test_evolve_respects_cap(monkeypatch):
-    monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
-    assert oracle_cap() == 4
-    with pytest.raises(ResourceLimitError):
+    # a budget that holds the sector eigensystems of 4 sites (1,712 bytes
+    # estimated) refuses those of 5 (5,216 bytes)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 5000)
+    evolve(StateVector.basis(4, 0), perfect_profile(4), 0.1)
+    with pytest.raises(ResourceLimitError, match="sector eigensystems of 5 sites"):
         evolve(StateVector.basis(5, 0), perfect_profile(5), 0.1)
-    monkeypatch.setenv("XXQST_ORACLE_CAP", "bogus")
-    with pytest.raises(ValueError):
-        oracle_cap()
 
 
 def test_size_rule_separates_dense_work(monkeypatch):
-    # the cap bounds the chain; dense arrays answer to the memory budget
-    monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
+    # one budget bounds the sector eigensystems, 14 sites at the default,
+    # and the dense arrays, each by its own estimate
     check_size(14)
-    with pytest.raises(ResourceLimitError, match="cap of 14"):
+    with pytest.raises(ResourceLimitError, match=r"^the sector eigensystems of 15 sites: "
+                       r"about 2\.39 GiB, past the memory budget of 2 GiB$"):
         check_size(15)
-    # a 13-site medium fits the cap but not the budget: refused before any eigensolve
+    # a 13-site medium's eigensystems fit the budget but the medium does not:
+    # refused before any eigensolve
     monkeypatch.setattr(oracle, "_eigensystems", None)
     with pytest.raises(ResourceLimitError, match="thermal medium on 13 sites.*memory budget"):
         thermal_medium(perfect_profile(15), 1.0)
 
 
 def test_size_rule_follows_a_lower_cap(monkeypatch):
-    monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
+    # a lower budget moves every estimate at once
+    state = DensityMatrix.maximally_mixed(5)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 5000)
     check_size(4)
-    with pytest.raises(ResourceLimitError, match="cap of 4"):
+    with pytest.raises(ResourceLimitError, match="sector eigensystems of 5 sites"):
         check_size(5)
-    # a density matrix fits the budget, so the cap refuses it
-    with pytest.raises(ResourceLimitError, match="cap of 4"):
-        evolve(DensityMatrix.maximally_mixed(5), perfect_profile(5), 0.1)
+    with pytest.raises(ResourceLimitError, match="density-matrix evolution on 5 sites"):
+        evolve(state, perfect_profile(5), 0.1)
+    with pytest.raises(ResourceLimitError, match="maximally mixed state on 5 sites"):
+        DensityMatrix.maximally_mixed(5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -421,9 +426,10 @@ def test_conjugate_kernel_matches_reference(rng, n):
 
 
 def test_conjugate_size_cap():
-    with pytest.raises(ResourceLimitError):
+    # its memory estimate admits 12 sites (1.5 GiB) and refuses 13 (6 GiB)
+    with pytest.raises(ResourceLimitError, match="dense operator conjugation on 13 sites"):
         conjugate_operator(
-            PauliString.single(9, 1, "X"), perfect_profile(9), 0.1
+            PauliString.single(13, 1, "X"), perfect_profile(13), 0.1
         )
 
 
@@ -609,9 +615,34 @@ def test_fidelity_pure_path_matches_overlap(rng):
     assert fidelity(rho, StateVector(2, psi)) == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_fidelity_of_two_pure_states_is_their_overlap(rng, n):
+    a = StateVector(n, reference.random_pure(rng, n))
+    b = StateVector(n, reference.random_pure(rng, n))
+    expectation = float(np.real(a.amplitudes.conj() @ b.density_matrix().matrix @ a.amplitudes))
+    assert abs(fidelity(a, b) - expectation) <= 1e-15
+    assert fidelity(a, a) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_fidelity_of_two_pure_states_builds_no_matrix(rng):
+    # a 4096 x 4096 outer product would take 256 MiB
+    a = StateVector(12, reference.random_pure(rng, 12))
+    b = StateVector(12, reference.random_pure(rng, 12))
+    tracemalloc.start()
+    try:
+        fidelity(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity(StateVector.basis(1, 0), StateVector.basis(2, 0))
+    for a, b in ((StateVector.basis(1, 0), np.eye(2) / 2), (np.eye(2) / 2, StateVector.basis(1, 0))):
+        with pytest.raises(TypeError, match="not a quantum state: ndarray"):
+            fidelity(a, b)
 
 
 def test_thermal_medium_infinite_temperature():
@@ -719,13 +750,13 @@ def test_thermal_factor_certifies_its_weights(delta, message):
 
 
 def test_thermal_medium_respects_cap(monkeypatch):
-    # the cap bounds the chain whose Gibbs state is built
-    monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
-    assert thermal_medium(perfect_profile(6), 1.0).n_sites == 4
-    with pytest.raises(ResourceLimitError):
-        thermal_medium(perfect_profile(7), 1.0)
-    with pytest.raises(ResourceLimitError):
-        thermal_medium(perfect_profile(5), 1.0, variant="fullchain")
+    # a budget that holds a 4-site medium (24,576 bytes estimated) refuses a
+    # 5-site one (98,304 bytes) in either variant
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 30000)
+    for variant in ("subchain", "fullchain"):
+        assert thermal_medium(perfect_profile(6), 1.0, variant).n_sites == 4
+        with pytest.raises(ResourceLimitError, match="thermal medium on 5 sites"):
+            thermal_medium(perfect_profile(7), 1.0, variant)
 
 
 def test_thermal_medium_validation():

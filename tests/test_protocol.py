@@ -33,7 +33,7 @@ from xxqst import (
     verify_protocol_identities,
     verify_transfer_condition,
 )
-from xxqst import oracle
+from xxqst import errors, oracle
 
 import reference
 
@@ -572,12 +572,13 @@ def test_config_validation():
 
 
 def test_protocol_refuses_chains_past_the_dense_limit(monkeypatch):
-    # the exact engine's mediums are refused past the cap of 14 (a mixed
-    # explicit one also past the memory budget, in test_resources), before
-    # any eigensolve or large array; the Gaussian mediums past the budget
-    monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
+    # the exact engine's mediums are refused from 15 sites, where their
+    # sector eigensystems pass the memory budget (a mixed explicit one
+    # sooner, by its columns, in test_resources), before any eigensolve or
+    # large array; the Gaussian mediums by their own estimate
     monkeypatch.setattr(oracle, "_eigensystems", None)
-    refusals = [(15, "random-pure", "cap of 14"), (15, StateVector.basis(13, 0), "cap of 14"),
+    eigensystems = "sector eigensystems of 15 sites"
+    refusals = [(15, "random-pure", eigensystems), (15, StateVector.basis(13, 0), eigensystems),
                 (20000, "all-zero", "Gaussian protocol on 20000 sites"),
                 (20000, "thermal:1.0", "Gaussian protocol on 20000 sites")]
     for n, medium, message in refusals:
@@ -593,13 +594,12 @@ def test_protocol_refuses_chains_past_the_dense_limit(monkeypatch):
             assert peak < 2**20
 
 
-def test_average_fidelity_refuses_a_random_pure_draw_past_the_cap(monkeypatch):
+def test_average_fidelity_refuses_a_random_pure_draw_past_the_cap():
     # the medium is drawn before any protocol run: 2**38 amplitudes at n = 40
-    monkeypatch.delenv("XXQST_ORACLE_CAP", raising=False)
     profile = perfect_profile(40)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="cap of 14"):
+        with pytest.raises(ResourceLimitError, match="sector eigensystems of 40 sites"):
             average_fidelity(profile, medium="random-pure", seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -608,12 +608,13 @@ def test_average_fidelity_refuses_a_random_pure_draw_past_the_cap(monkeypatch):
 
 
 def test_protocol_follows_a_lower_cap(monkeypatch):
-    monkeypatch.setenv("XXQST_ORACLE_CAP", "4")
+    # a budget that holds the sector eigensystems of 4 sites refuses those of 5
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 5000)
     random_pure = ProtocolConfig(perfect_profile(4), axial_state("0"), medium="random-pure", seed=1)
     assert len(run_protocol_branches(random_pure)) > 0
-    with pytest.raises(ResourceLimitError, match="cap of 4"):
+    with pytest.raises(ResourceLimitError, match="sector eigensystems of 5 sites"):
         run_protocol_branches(dataclasses.replace(random_pure, profile=perfect_profile(5)))
-    # the cap bounds the exact engine only: a Gaussian medium runs past it
+    # the eigensystems are the exact engine's: a Gaussian medium runs past them
     assert len(run_protocol_branches(ProtocolConfig(perfect_profile(5), axial_state("0")))) > 0
 
 
@@ -782,21 +783,24 @@ def test_transfer_condition_fixed_exponents():
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
 def test_identity_checks_reject_a_bad_tolerance(tolerance):
     # a tolerance no deviation can pass (or every one) would say nothing of
-    # the chain; refused before the 9-site chain's size is checked
-    for n in (4, 9):
+    # the chain; refused before the 13-site chain's size is checked
+    for n in (4, 13):
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             verify_protocol_identities(perfect_profile(n), tolerance=tolerance)
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             verify_transfer_condition(perfect_profile(n), tolerance=tolerance)
 
 
-@pytest.mark.parametrize("n", [9, 13])
+@pytest.mark.parametrize("n", [12, 13])
 def test_identity_checks_refuse_long_chains_before_building_matrices(n, monkeypatch):
+    # the transfer condition is refused from 12 sites (2.5 GiB estimated),
+    # the identity checks from 13 (7 GiB; 1.75 GiB at 12 fits the budget)
     def no_dense_matrix(self):
         raise AssertionError("a dense 2**n matrix was built before the size check")
 
     monkeypatch.setattr(PauliString, "to_matrix", no_dense_matrix)
-    with pytest.raises(ResourceLimitError):
-        verify_protocol_identities(perfect_profile(n))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=f"transfer condition on {n} sites"):
         verify_transfer_condition(perfect_profile(n), mid_op="Z")
+    if n > 12:
+        with pytest.raises(ResourceLimitError, match=f"identity checks on {n} sites"):
+            verify_protocol_identities(perfect_profile(n))

@@ -9,19 +9,24 @@ import pytest
 
 from xxqst import (
     DensityMatrix,
+    PauliString,
     Propagator,
     ProtocolConfig,
     ResourceLimitError,
     StateVector,
+    average_fidelity,
     axial_state,
     boundary_profile,
     coefficient_trace,
+    conjugate_operator,
     dense_hamiltonian,
     evolve,
     perfect_profile,
     run_protocol_branches,
     sweep,
     thermal_medium,
+    verify_protocol_identities,
+    verify_transfer_condition,
 )
 from xxqst import chain, heisenberg, optimize, oracle, protocol
 from xxqst.errors import MEMORY_BUDGET, check_memory
@@ -61,6 +66,7 @@ def test_budget_is_one_rule():
 # built once, outside the traced calls
 _LONG = perfect_profile(20000)
 _STACK = np.ones((2, 15000))
+_PURE13 = StateVector.basis(13, 0)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -77,6 +83,23 @@ _STACK = np.ones((2, 15000))
     (lambda: run_protocol_branches(ProtocolConfig(
         perfect_profile(14), axial_state("+x"), medium=_stub_density_matrix(12))),
      "exact protocol on 14 sites"),
+    (lambda: run_protocol_branches(ProtocolConfig(
+        perfect_profile(15), axial_state("+x"), medium="random-pure", seed=1)),
+     "sector eigensystems of 15 sites"),
+    # an estimate past the float range
+    (lambda: run_protocol_branches(ProtocolConfig(
+        perfect_profile(1001), axial_state("+x"), medium="random-pure", seed=1)),
+     "sector eigensystems of 1001 sites"),
+    (lambda: average_fidelity(perfect_profile(40), medium="random-pure", seed=1),
+     "sector eigensystems of 40 sites"),
+    (lambda: DensityMatrix.maximally_mixed(13), "maximally mixed state on 13 sites"),
+    (lambda: _PURE13.density_matrix(), "density matrix of a pure state on 13 sites"),
+    (lambda: DensityMatrix(13, np.broadcast_to(np.complex128(0), (2**13, 2**13))),
+     "density matrix on 13 sites"),
+    (lambda: conjugate_operator(PauliString.single(13, 1, "X"), perfect_profile(13), 0.1),
+     "dense operator conjugation on 13 sites"),
+    (lambda: verify_protocol_identities(perfect_profile(13)), "identity checks on 13 sites"),
+    (lambda: verify_transfer_condition(perfect_profile(12)), "transfer condition on 12 sites"),
 ])
 def test_refused_before_allocating(monkeypatch, call, message):
     # no eigensolve and no large array before the refusal
@@ -162,13 +185,44 @@ def test_dense_hamiltonian_estimate(monkeypatch):
     _pin(monkeypatch, chain, lambda: dense_hamiltonian(perfect_profile(10)))
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_sector_eigensystems_estimate(monkeypatch, n):
+    profile = perfect_profile(n)
+    oracle._sector_eigh.cache_clear()
+    _pin(monkeypatch, oracle, lambda: (oracle.check_size(n), oracle._sector_eigh(profile)))
+
+
+def test_density_matrix_estimates(monkeypatch):
+    state = StateVector.basis(10, 3)
+    matrix = np.eye(2**10, dtype=complex) / 2**10
+    _pin(monkeypatch, oracle, lambda: DensityMatrix.maximally_mixed(10))
+    monkeypatch.undo()
+    _pin(monkeypatch, oracle, state.density_matrix)
+    monkeypatch.undo()
+    _pin(monkeypatch, oracle, lambda: DensityMatrix(10, matrix))
+
+
+def test_conjugation_estimate(monkeypatch):
+    profile = perfect_profile(10)
+    _pin(monkeypatch, oracle, lambda: conjugate_operator(PauliString.single(10, 1, "X"), profile, 0.3))
+
+
+def test_identity_checks_estimate(monkeypatch):
+    _pin(monkeypatch, protocol, lambda: verify_protocol_identities(perfect_profile(9)))
+
+
+@pytest.mark.parametrize("mid", ["I", "Z"])
+def test_transfer_condition_estimate(monkeypatch, mid):
+    _pin(monkeypatch, protocol, lambda: verify_transfer_condition(perfect_profile(9), mid_op=mid))
+
+
 @pytest.mark.parametrize("n, medium", [
     (10, DensityMatrix.maximally_mixed(8)), (12, "random-pure"), (11, StateVector.basis(9, 3)),
 ])
 def test_exact_protocol_estimate(monkeypatch, n, medium):
-    # with the chain's eigensystems cached: they are the cap's to bound
-    # (22 MB of the 26 MB cold peak with a random-pure medium at n = 12),
-    # and the estimate counts the columns alone
+    # with the chain's eigensystems cached: check_size bounds them (22 MB
+    # of the 26 MB cold peak with a random-pure medium at n = 12), and the
+    # estimate counts the columns alone
     profile = perfect_profile(n)
     oracle._sector_eigh(profile)
     config = ProtocolConfig(profile, axial_state("+x"), medium=medium, seed=5)
